@@ -26,21 +26,21 @@ const char* impl_label(const benchmark::State& state) {
 
 void BM_SingleTableChurn(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  cache::SingleTable table(capacity, impl_of(state));
+  const auto table = cache::make_single_table(capacity, impl_of(state));
   util::Rng rng(7);
   // Pre-fill to capacity so every insert evicts and every lookup scans a
   // full table in faithful mode.
   for (std::size_t i = 0; i < capacity; ++i) {
-    table.insert_on_top(cache::make_entry(i + 1, 0, static_cast<SimTime>(i)));
+    table->insert_on_top(cache::make_entry(i + 1, 0, static_cast<SimTime>(i)));
   }
   SimTime now = static_cast<SimTime>(capacity);
   for (auto _ : state) {
     const ObjectId object = 1 + rng.below(2 * capacity);
-    if (auto entry = table.remove(object)) {
+    if (auto entry = table->remove(object)) {
       entry->calc_average(++now);
-      table.insert_on_top(*entry);
+      table->insert_on_top(*entry);
     } else {
-      table.insert_on_top(cache::make_entry(object, 0, ++now));
+      table->insert_on_top(cache::make_entry(object, 0, ++now));
     }
   }
   state.SetLabel(impl_label(state));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <unordered_map>
+
+#include "util/flat_index.h"
 
 namespace adc::cache {
 namespace {
@@ -82,77 +82,156 @@ class VectorOrderedTable final : public OrderedTable {
   std::vector<TableEntry> entries_;  // ascending skew
 };
 
-/// Indexed variant: multimap ordered by skew + hash index by object id.
-class IndexedOrderedTable final : public OrderedTable {
+/// Indexed variant: rows live in a fixed array, a binary max-heap of
+/// {skew, insertion sequence, row} keys keeps the worst entry on top, and a
+/// flat hash index maps object ids to rows.  The sequence number makes the
+/// key a total order that ranks equal skews exactly as the faithful table
+/// does (later insert = worse), so both variants evict the same entries.
+class HeapOrderedTable final : public OrderedTable {
  public:
-  explicit IndexedOrderedTable(std::size_t capacity) : OrderedTable(capacity) {
-    index_.reserve(capacity);
+  explicit HeapOrderedTable(std::size_t capacity)
+      : OrderedTable(capacity), rows_(capacity), index_(capacity) {
+    heap_.reserve(capacity);
+    free_.reserve(capacity);
+    clear();
   }
 
-  std::size_t size() const noexcept override { return tree_.size(); }
+  std::size_t size() const noexcept override { return heap_.size(); }
 
-  bool contains(ObjectId object) const noexcept override {
-    return index_.find(object) != index_.end();
-  }
+  bool contains(ObjectId object) const noexcept override { return index_.contains(object); }
 
   const TableEntry* find(ObjectId object) const noexcept override {
-    const auto it = index_.find(object);
-    return it == index_.end() ? nullptr : &it->second->second;
+    const std::uint32_t row = index_.find(object);
+    return row == util::FlatIndex::kNone ? nullptr : &rows_[row].entry;
   }
 
   TableEntry* find_mutable(ObjectId object) noexcept override {
-    const auto it = index_.find(object);
-    return it == index_.end() ? nullptr : &it->second->second;
+    const std::uint32_t row = index_.find(object);
+    return row == util::FlatIndex::kNone ? nullptr : &rows_[row].entry;
   }
 
   std::optional<TableEntry> remove(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return std::nullopt;
-    TableEntry out = it->second->second;
-    tree_.erase(it->second);
-    index_.erase(it);
-    return out;
+    const std::uint32_t row = index_.find(object);
+    if (row == util::FlatIndex::kNone) return std::nullopt;
+    return release(row);
   }
 
   void insert(TableEntry entry) override {
     assert(!full());
     assert(!contains(entry.object));
-    // multimap::insert places equal keys after existing ones — the same
-    // tie-break as the faithful variant.
-    const auto node = tree_.emplace(entry.skew(), entry);
-    index_.emplace(entry.object, node);
+    const std::uint32_t row = free_.back();
+    free_.pop_back();
+    rows_[row].entry = entry;
+    index_.assign(entry.object, row);
+    heap_.push_back(Key{entry.skew(), next_seq_++, row});
+    sift_up(heap_.size() - 1);
   }
 
   std::optional<TableEntry> remove_worst() override {
-    if (tree_.empty()) return std::nullopt;
-    const auto node = std::prev(tree_.end());
-    TableEntry out = node->second;
-    index_.erase(out.object);
-    tree_.erase(node);
-    return out;
+    if (heap_.empty()) return std::nullopt;
+    return release(heap_.front().row);
   }
 
   const TableEntry* worst() const noexcept override {
-    return tree_.empty() ? nullptr : &std::prev(tree_.end())->second;
+    return heap_.empty() ? nullptr : &rows_[heap_.front().row].entry;
   }
 
+  /// O(n): only tests and diagnostics ask for the best entry, and the
+  /// minimum of a max-heap is one of its leaves.
   const TableEntry* best() const noexcept override {
-    return tree_.empty() ? nullptr : &tree_.begin()->second;
+    if (heap_.empty()) return nullptr;
+    const auto leaves = heap_.begin() + static_cast<std::ptrdiff_t>(heap_.size() / 2);
+    return &rows_[std::min_element(leaves, heap_.end(), before)->row].entry;
   }
 
   void clear() override {
-    tree_.clear();
+    heap_.clear();
     index_.clear();
+    free_.clear();
+    for (std::size_t row = rows_.size(); row-- > 0;) {
+      free_.push_back(static_cast<std::uint32_t>(row));
+    }
+    next_seq_ = 0;
   }
 
+  /// O(n log n): sorts a copy of the keys.  Anti-entropy rounds and result
+  /// snapshots iterate; the per-request path never does.
   void for_each(const std::function<void(const TableEntry&)>& fn) const override {
-    for (const auto& [skew, entry] : tree_) fn(entry);
+    std::vector<Key> order(heap_);
+    std::sort(order.begin(), order.end(), before);
+    for (const Key& key : order) fn(rows_[key.row].entry);
   }
 
  private:
-  using Tree = std::multimap<SimTime, TableEntry>;
-  Tree tree_;
-  std::unordered_map<ObjectId, Tree::iterator> index_;
+  struct Key {
+    SimTime skew;
+    std::uint64_t seq;
+    std::uint32_t row;
+  };
+  struct Row {
+    TableEntry entry;
+    std::size_t pos = 0;  // this row's position in heap_
+  };
+
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.skew != b.skew ? a.skew < b.skew : a.seq < b.seq;
+  }
+
+  void place(std::size_t pos, const Key& key) noexcept {
+    heap_[pos] = key;
+    rows_[key.row].pos = pos;
+  }
+
+  void sift_up(std::size_t pos) noexcept {
+    const Key key = heap_[pos];
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / 2;
+      if (!before(heap_[parent], key)) break;
+      place(pos, heap_[parent]);
+      pos = parent;
+    }
+    place(pos, key);
+  }
+
+  void sift_down(std::size_t pos) noexcept {
+    const Key key = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && before(heap_[child], heap_[child + 1])) ++child;
+      if (!before(key, heap_[child])) break;
+      place(pos, heap_[child]);
+      pos = child;
+    }
+    place(pos, key);
+  }
+
+  /// Unlinks a live row from the heap and the index, frees it and hands
+  /// back its entry.
+  TableEntry release(std::uint32_t row) {
+    const TableEntry out = rows_[row].entry;
+    const std::size_t pos = rows_[row].pos;
+    index_.erase(out.object);
+    free_.push_back(row);
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (pos < heap_.size()) {
+      place(pos, last);
+      if (pos > 0 && before(heap_[(pos - 1) / 2], last)) {
+        sift_up(pos);
+      } else {
+        sift_down(pos);
+      }
+    }
+    return out;
+  }
+
+  std::vector<Row> rows_;
+  std::vector<Key> heap_;  // max-heap: heap_[0] is the worst entry
+  std::vector<std::uint32_t> free_;
+  util::FlatIndex index_;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace
@@ -160,7 +239,7 @@ class IndexedOrderedTable final : public OrderedTable {
 std::unique_ptr<OrderedTable> make_ordered_table(std::size_t capacity, TableImpl impl) {
   assert(capacity > 0);
   if (impl == TableImpl::kFaithful) return std::make_unique<VectorOrderedTable>(capacity);
-  return std::make_unique<IndexedOrderedTable>(capacity);
+  return std::make_unique<HeapOrderedTable>(capacity);
 }
 
 }  // namespace adc::cache

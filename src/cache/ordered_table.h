@@ -12,8 +12,11 @@
 //  * kFaithful — a sorted contiguous array: ordered insert/remove via
 //    binary search plus element shifting, object lookup via linear scan.
 //    This is the structure whose cost the paper measures in Figure 15.
-//  * kIndexed — a balanced tree ordered by skew plus a hash index from
-//    object id to tree node: all operations O(log n) or O(1).
+//  * kIndexed — rows in a fixed array, a binary max-heap of ordering keys
+//    and a flat hash index from object id to row: lookups O(1), inserts and
+//    removals O(log n), worst() O(1), no allocation after construction.
+//    best() and for_each() sort or scan (tests, diagnostics and
+//    anti-entropy rounds only).
 #pragma once
 
 #include <cstddef>

@@ -208,9 +208,8 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
 
   // Loop detection must precede storing the new backwarding record: a
   // request id already pending here means the random walk revisited us.
-  const auto pending_it = pending_.find(msg.request_id);
-  const bool loop = pending_it != pending_.end() && !pending_it->second.empty();
-  pending_[msg.request_id].push_back(msg.sender);
+  const bool loop = pending_.contains(msg.request_id);
+  pending_.push(msg.request_id, msg.sender);
 
   Message forward = msg;
   forward.sender = id();
@@ -306,8 +305,7 @@ void AdcProxy::receive_reply(Transport& net, const Message& msg) {
   // or a journey whose record died with a restart.  Drop it without
   // learning — processing it twice would double-count table updates and
   // could claim resolver status for a journey that already completed.
-  const auto pending_check = pending_.find(msg.request_id);
-  if (pending_check == pending_.end() || pending_check->second.empty()) {
+  if (!pending_.contains(msg.request_id)) {
     ++stats_.orphan_replies;
     return;
   }
@@ -359,11 +357,7 @@ void AdcProxy::receive_reply(Transport& net, const Message& msg) {
   }
 
   // Backward along the stored path (LIFO per request id).
-  const auto it = pending_.find(reply.request_id);
-  assert(it != pending_.end() && !it->second.empty());
-  const NodeId previous_hop = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) pending_.erase(it);
+  const NodeId previous_hop = pending_.pop(reply.request_id);
 
   ++stats_.replies_relayed;
   reply.sender = id();

@@ -11,6 +11,7 @@
 #include "core/mapping_tables.h"
 #include "cache/policies.h"
 #include "sim/node.h"
+#include "sim/pending_records.h"
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
 #include "store/payload.h"
@@ -139,9 +140,8 @@ class AdcProxy final : public sim::Node {
   /// Local logical clock: ticks once per received request (Figure 5).
   SimTime local_time_ = 0;
 
-  /// Pending-backwarding records per request id; a stack because a looping
-  /// request can traverse this proxy more than once.
-  std::unordered_map<RequestId, std::vector<NodeId>> pending_;
+  /// Pending-backwarding records per request id.
+  sim::PendingRecords pending_;
 
   /// Version of the locally cached copy (0 when absent or versioning off).
   std::uint64_t stored_version(ObjectId object) const noexcept;

@@ -7,7 +7,7 @@ namespace adc::core {
 using cache::TableEntry;
 
 MappingTables::MappingTables(const AdcConfig& config)
-    : single_(config.single_table_size, config.table_impl),
+    : single_(cache::make_single_table(config.single_table_size, config.table_impl)),
       multiple_(cache::make_ordered_table(config.multiple_table_size, config.table_impl)),
       caching_(config.selective_caching
                    ? cache::make_ordered_table(config.caching_table_size, config.table_impl)
@@ -27,7 +27,7 @@ const TableEntry* MappingTables::find(ObjectId object) const noexcept {
     if (const TableEntry* e = caching_->find(object)) return e;
   }
   if (const TableEntry* e = multiple_->find(object)) return e;
-  return single_.find(object);
+  return single_->find(object);
 }
 
 std::uint64_t MappingTables::claim_of(ObjectId object) const noexcept {
@@ -38,7 +38,7 @@ std::uint64_t MappingTables::claim_of(ObjectId object) const noexcept {
 bool MappingTables::repair_location(ObjectId object, NodeId location, std::uint64_t claim) {
   if (caching_ != nullptr && caching_->contains(object)) return false;
   TableEntry* e = multiple_->find_mutable(object);
-  if (e == nullptr) e = single_.find_mutable(object);
+  if (e == nullptr) e = single_->find_mutable(object);
   if (e == nullptr) return false;
   e->location = location;
   e->claim = claim;
@@ -48,26 +48,26 @@ bool MappingTables::repair_location(ObjectId object, NodeId location, std::uint6
 void MappingTables::stamp_claim(ObjectId object, std::uint64_t claim) {
   TableEntry* e = caching_ != nullptr ? caching_->find_mutable(object) : nullptr;
   if (e == nullptr) e = multiple_->find_mutable(object);
-  if (e == nullptr) e = single_.find_mutable(object);
+  if (e == nullptr) e = single_->find_mutable(object);
   if (e != nullptr && e->claim < claim) e->claim = claim;
 }
 
 std::size_t MappingTables::total_entries() const noexcept {
-  return single_.size() + multiple_->size() + (caching_ != nullptr ? caching_->size() : 0);
+  return single_->size() + multiple_->size() + (caching_ != nullptr ? caching_->size() : 0);
 }
 
 void MappingTables::clear() {
-  single_.clear();
+  single_->clear();
   multiple_->clear();
   if (caching_ != nullptr) caching_->clear();
 }
 
 std::size_t MappingTables::invalidate_location(NodeId location) {
   std::vector<ObjectId> victims;
-  for (const TableEntry& e : single_.snapshot()) {
+  for (const TableEntry& e : single_->snapshot()) {
     if (e.location == location) victims.push_back(e.object);
   }
-  for (ObjectId object : victims) single_.remove(object);
+  for (ObjectId object : victims) single_->remove(object);
   std::size_t removed = victims.size();
 
   victims.clear();
@@ -85,7 +85,7 @@ void MappingTables::warm_cache(ObjectId object, NodeId location, SimTime now,
   // Drop any colder bookkeeping entry so the object lives in exactly one
   // table.
   multiple_->remove(object);
-  single_.remove(object);
+  single_->remove(object);
   if (caching_->full()) {
     auto demoted = caching_->remove_worst();
     assert(demoted.has_value());
@@ -104,24 +104,24 @@ UpdateResult MappingTables::update_entry(ObjectId object, NodeId location, SimTi
   // the stored entry's is pre-partition news — learning from it would
   // overwrite a fresher resolver opinion, so it is dropped before any
   // table state changes (no aging, no reordering).
-  if (const TableEntry* existing = find(object);
-      existing != nullptr && existing->claim > claim) {
-    UpdateResult result;
-    result.rejected_stale = true;
-    return result;
-  }
+  const auto stale = [claim](const TableEntry& existing) { return existing.claim > claim; };
+  UpdateResult rejected;
+  rejected.rejected_stale = true;
 
   // Figure 8, parts 1-4, searched in the order caching, multiple, single.
   if (caching_ != nullptr) {
-    if (auto entry = caching_->remove(object)) {
-      return update_in_caching(*entry, location, now, data_version, claim);
+    if (const TableEntry* e = caching_->find(object)) {
+      if (stale(*e)) return rejected;
+      return update_in_caching(*caching_->remove(object), location, now, data_version, claim);
     }
   }
-  if (auto entry = multiple_->remove(object)) {
-    return update_in_multiple(*entry, location, now, data_version, claim);
+  if (const TableEntry* e = multiple_->find(object)) {
+    if (stale(*e)) return rejected;
+    return update_in_multiple(*multiple_->remove(object), location, now, data_version, claim);
   }
-  if (auto entry = single_.remove(object)) {
-    return update_in_single(*entry, location, now, data_version, claim);
+  if (const TableEntry* e = single_->find(object)) {
+    if (stale(*e)) return rejected;
+    return update_in_single(*single_->remove(object), location, now, data_version, claim);
   }
   return create_entry(object, location, now, data_version, claim);
 }
@@ -191,12 +191,12 @@ UpdateResult MappingTables::update_in_single(TableEntry entry, NodeId location, 
       auto demoted = multiple_->remove_worst();
       assert(demoted.has_value());
       // The single-table has a free slot (the entry was removed above).
-      single_.insert_on_top(*demoted);
+      single_->insert_on_top(*demoted);
     }
     multiple_->insert(entry);
     result.placement = TablePlacement::kMultiple;
   } else {
-    single_.insert_on_top(entry);
+    single_->insert_on_top(entry);
     result.placement = TablePlacement::kSingle;
   }
   return result;
@@ -210,7 +210,7 @@ UpdateResult MappingTables::create_entry(ObjectId object, NodeId location, SimTi
   cache::TableEntry entry = cache::make_entry(object, location, now);
   entry.version = data_version.value_or(0);
   entry.claim = claim;
-  single_.insert_on_top(entry);
+  single_->insert_on_top(entry);
   UpdateResult result;
   result.placement = TablePlacement::kSingle;
   result.created = true;

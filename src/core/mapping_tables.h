@@ -103,7 +103,7 @@ class MappingTables {
                   std::uint64_t version = 0);
 
   /// Read-only access for tests, stats and diagnostics.
-  const cache::SingleTable& single() const noexcept { return single_; }
+  const cache::SingleTable& single() const noexcept { return *single_; }
   const cache::OrderedTable& multiple() const noexcept { return *multiple_; }
   const cache::OrderedTable& caching() const noexcept { return *caching_; }
   bool has_caching_table() const noexcept { return caching_ != nullptr; }
@@ -122,7 +122,7 @@ class MappingTables {
   UpdateResult create_entry(ObjectId object, NodeId location, SimTime now,
                             std::optional<std::uint64_t> data_version, std::uint64_t claim);
 
-  cache::SingleTable single_;
+  std::unique_ptr<cache::SingleTable> single_;
   std::unique_ptr<cache::OrderedTable> multiple_;
   std::unique_ptr<cache::OrderedTable> caching_;  // null in ABL-SEL mode
 };

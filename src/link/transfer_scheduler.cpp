@@ -10,8 +10,7 @@ TransferScheduler::TransferScheduler(sim::Simulator& sim, LinkModel model)
     : sim_(sim), model_(std::move(model)), wait_(1 << 16) {}
 
 bool TransferScheduler::on_send(const sim::Message& msg, sim::NodeKind /*from*/,
-                                sim::NodeKind /*to*/, SimTime now, SimTime base_delay,
-                                Deliver deliver) {
+                                sim::NodeKind /*to*/, SimTime now, SimTime base_delay) {
   const std::uint64_t rate = model_.transfer_rate(msg.sender, msg.target);
   if (rate == 0) {
     ++stats_.passthrough;
@@ -27,7 +26,7 @@ bool TransferScheduler::on_send(const sim::Message& msg, sim::NodeKind /*from*/,
   if (q.empty()) e.ring.push_back(msg.target);
 
   Transfer t;
-  t.deliver = std::move(deliver);
+  t.msg = msg;
   t.remaining = bytes;
   t.rate = rate;
   t.enqueued = now;
@@ -78,18 +77,21 @@ void TransferScheduler::kick(NodeId node) {
 
   ++stats_.bursts;
   e.busy = true;
+  e.burst = burst;
   const SimTime tx = model_.serialization_ticks(burst, t.rate);
-  sim_.schedule_after(tx, [this, node, dest, burst]() { on_burst_done(node, dest, burst); });
+  sim_.schedule_after(tx, [this, node]() { on_burst_done(node); });
 }
 
-void TransferScheduler::on_burst_done(NodeId node, NodeId dest, std::uint64_t burst) {
+void TransferScheduler::on_burst_done(NodeId node) {
   Egress& e = egress_[node];
   e.busy = false;
+  const std::uint64_t burst = e.burst;
 
   // The serving destination sits at the ring front for the whole burst:
   // kick() never rotates while the egress is busy, and arrivals only
   // append to the back.
-  assert(!e.ring.empty() && e.ring.front() == dest);
+  assert(!e.ring.empty());
+  const NodeId dest = e.ring.front();
   auto& q = e.queues[dest];
   assert(!q.empty());
   Transfer& t = q.front();
@@ -104,7 +106,7 @@ void TransferScheduler::on_burst_done(NodeId node, NodeId dest, std::uint64_t bu
   if (t.remaining == 0) {
     // Fully serialized; the last byte still propagates for the latency
     // the plain simulator would charge.
-    t.deliver(sim_.now() + t.base_delay);
+    sim_.deliver_at(sim_.now() + t.base_delay, t.msg);
     q.pop_front();
     if (q.empty()) {
       e.queues.erase(dest);

@@ -54,7 +54,7 @@ class TransferScheduler final : public sim::LinkHook {
   TransferScheduler(sim::Simulator& sim, LinkModel model);
 
   bool on_send(const sim::Message& msg, sim::NodeKind from, sim::NodeKind to, SimTime now,
-               SimTime base_delay, Deliver deliver) override;
+               SimTime base_delay) override;
 
   /// Bytes queued or in flight at `node`'s egress right now — the load
   /// signal the erasure tier uses to prefer lightly loaded stripe peers.
@@ -72,7 +72,7 @@ class TransferScheduler final : public sim::LinkHook {
 
  private:
   struct Transfer {
-    Deliver deliver;
+    sim::Message msg;  // handed back to the simulator once serialized
     std::uint64_t remaining = 0;
     std::uint64_t rate = 0;  // bottleneck bytes/sec for this transfer
     SimTime enqueued = 0;
@@ -82,6 +82,7 @@ class TransferScheduler final : public sim::LinkHook {
 
   struct Egress {
     bool busy = false;           // a burst is serializing right now
+    std::uint64_t burst = 0;     // bytes of that burst
     std::uint64_t backlog = 0;   // bytes accepted but not yet transmitted
     std::list<NodeId> ring;      // DRR ring of destinations with backlog
     std::unordered_map<NodeId, std::deque<Transfer>> queues;
@@ -90,7 +91,7 @@ class TransferScheduler final : public sim::LinkHook {
 
   /// Starts the next burst at `node`'s egress if it is idle and backlogged.
   void kick(NodeId node);
-  void on_burst_done(NodeId node, NodeId dest, std::uint64_t burst);
+  void on_burst_done(NodeId node);
 
   sim::Simulator& sim_;
   LinkModel model_;

@@ -53,15 +53,15 @@ void Client::inject_next(sim::Simulator& sim) {
   request.issued_at = sim.now();
   const RequestId request_id = request.request_id;
   ++issued_;
-  outstanding_.insert(request_id);
+  outstanding_.assign(request_id, 0);
   sim.send(std::move(request));
 
   if (request_timeout_ > 0) {
-    sim.schedule_after(request_timeout_, [this, &sim, request_id]() {
-      if (outstanding_.erase(request_id) == 0) return;  // reply beat the deadline
+    sim.schedule_after(request_timeout_, [this, request_id]() {
+      if (!outstanding_.erase(request_id)) return;  // reply beat the deadline
       ++failed_;
-      sim.metrics().on_request_failed();
-      inject_next(sim);  // keep the closed loop running
+      sim_->metrics().on_request_failed();
+      inject_next(*sim_);  // keep the closed loop running
     });
   }
 }
@@ -76,7 +76,7 @@ void Client::on_message(sim::Transport&, const sim::Message& msg) {
   assert(msg.client == id());
   assert(sim_ != nullptr && "Client::start() must run before replies arrive");
   sim::Simulator& sim = *sim_;
-  if (outstanding_.erase(msg.request_id) == 0) {
+  if (!outstanding_.erase(msg.request_id)) {
     // A duplicated reply, or one that lost the race against its deadline:
     // the request already resolved, so this copy must not count.
     ++duplicate_replies_;

@@ -10,12 +10,12 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/node.h"
 #include "sim/simulator.h"
 #include "sim/version.h"
+#include "util/flat_index.h"
 #include "util/types.h"
 
 namespace adc::proxy {
@@ -105,7 +105,7 @@ class Client final : public sim::Node {
   SimTime request_timeout_ = 0;  // 0 = off
   /// Requests in flight; only consulted when faults can lose or duplicate
   /// replies (every reply matches an outstanding id in a fault-free run).
-  std::unordered_set<RequestId> outstanding_;
+  util::FlatIndex outstanding_;  // request id -> 0
   bool drained_ = false;
   std::map<std::uint64_t, std::vector<std::function<void()>>> milestones_;
   sim::VersionOraclePtr oracle_;

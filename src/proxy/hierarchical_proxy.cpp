@@ -46,7 +46,7 @@ void CacheNode::on_message(Transport& net, const Message& msg) {
       return;
     }
     ++stats_.forwards_upstream;
-    pending_[msg.request_id].push_back(msg.sender);
+    pending_.push(msg.request_id, msg.sender);
     Message forward = msg;
     forward.sender = id();
     forward.target = upstream_;
@@ -56,11 +56,7 @@ void CacheNode::on_message(Transport& net, const Message& msg) {
   }
 
   // Reply from upstream: admit-all caching, then relay to the requester.
-  const auto it = pending_.find(msg.request_id);
-  assert(it != pending_.end() && !it->second.empty());
-  const NodeId requester = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) pending_.erase(it);
+  const NodeId requester = pending_.pop(msg.request_id);
 
   stats_.payload_bytes_fetched += msg.payload_bytes;
   for (const ObjectId evicted : cache_->insert_evicting(msg.object)) {

@@ -16,6 +16,7 @@
 
 #include "cache/policies.h"
 #include "sim/node.h"
+#include "sim/pending_records.h"
 #include "sim/transport.h"
 #include "store/payload.h"
 #include "util/types.h"
@@ -64,7 +65,7 @@ class CacheNode final : public sim::Node {
   /// Requesters awaiting a reply, per request id (a stack for the corner
   /// case of the same id traversing twice, which cannot happen in a tree
   /// but keeps the invariant local).
-  std::unordered_map<RequestId, std::vector<NodeId>> pending_;
+  sim::PendingRecords pending_;
 
   /// Data versions of cached objects (staleness accounting).
   std::unordered_map<ObjectId, std::uint64_t> versions_;

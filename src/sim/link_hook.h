@@ -12,13 +12,11 @@
 // LinkHook can take *ownership of delivery timing*: queueing delay depends
 // on transfers that have not finished yet, so it cannot be computed eagerly
 // at send time.  A hook that owns a transfer schedules its own service
-// events (it holds the Simulator) and calls the provided deliver callback
-// when the last byte has been serialized.  A hook that declines every
+// events (it holds the Simulator) and hands the message back through
+// Simulator::deliver_at once the last byte has been serialized.  A hook that declines every
 // transfer — or no hook at all — leaves delivery bit-identical to the
 // plain simulator.
 #pragma once
-
-#include <functional>
 
 #include "sim/message.h"
 #include "sim/node.h"
@@ -30,20 +28,15 @@ class LinkHook {
  public:
   virtual ~LinkHook() = default;
 
-  /// Schedules the transfer's delivery at absolute sim-time `at`.  Provided
-  /// by the simulator; copyable and storable, must be invoked exactly once
-  /// per owned transfer, with `at` no earlier than the send time.
-  using Deliver = std::function<void(SimTime at)>;
-
   /// Called once per transfer (self-addressed messages excepted — there is
   /// no wire under those).  `base_delay` is everything the plain simulator
   /// would charge: propagation latency + receiver node delay + any fault
   /// stretch.  Return false to decline — the simulator delivers at
   /// now + base_delay exactly as if no hook were installed.  Return true to
-  /// own the transfer; the hook must then call `deliver` exactly once, at a
-  /// time >= now + base_delay.
+  /// own the transfer; the hook must then keep a copy of `msg` and pass it
+  /// to Simulator::deliver_at exactly once, at a time >= now + base_delay.
   virtual bool on_send(const Message& msg, NodeKind from, NodeKind to, SimTime now,
-                       SimTime base_delay, Deliver deliver) = 0;
+                       SimTime base_delay) = 0;
 };
 
 }  // namespace adc::sim

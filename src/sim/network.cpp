@@ -3,16 +3,10 @@
 namespace adc::sim {
 
 void Network::set_node_delay(NodeId node, SimTime extra) {
-  if (extra <= 0) {
-    node_delays_.erase(node);
-    return;
-  }
-  node_delays_[node] = extra;
-}
-
-SimTime Network::node_delay(NodeId node) const noexcept {
-  const auto it = node_delays_.find(node);
-  return it == node_delays_.end() ? 0 : it->second;
+  if (node < 0) return;  // not a node id: nothing is ever delivered there
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= node_delays_.size()) node_delays_.resize(i + 1, 0);
+  node_delays_[i] = extra > 0 ? extra : 0;
 }
 
 SimTime Network::latency(NodeKind from, NodeKind to, bool self_message) const noexcept {

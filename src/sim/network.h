@@ -9,7 +9,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/message.h"
 #include "sim/node.h"
@@ -55,7 +55,10 @@ class Network {
   /// *delivered to* the given node (a slow Pentium among fast ones — the
   /// scenario the paper's coordinator predecessor was built to absorb).
   void set_node_delay(NodeId node, SimTime extra);
-  SimTime node_delay(NodeId node) const noexcept;
+  SimTime node_delay(NodeId node) const noexcept {
+    const auto i = static_cast<std::size_t>(node);
+    return i < node_delays_.size() ? node_delays_[i] : 0;
+  }
 
   std::uint64_t messages_sent() const noexcept { return messages_sent_; }
 
@@ -79,7 +82,7 @@ class Network {
 
  private:
   LatencyModel model_;
-  std::unordered_map<NodeId, SimTime> node_delays_;
+  std::vector<SimTime> node_delays_;  // by node id; absent = 0
   std::uint64_t messages_sent_ = 0;
   std::array<std::uint64_t, kLinkClassCount> class_messages_{};
   std::array<std::uint64_t, kLinkClassCount> class_bytes_{};

@@ -43,28 +43,17 @@ void Simulator::send(Message msg) {
   // A fault-injected copy is a retransmission artifact, not a second
   // payload transfer, so copies bypass the link model and ride on the
   // plain latency.
-  for (int copy = 1; copy <= fate.duplicates; ++copy) {
-    queue_.schedule(now_ + delay + copy, [this, msg, target]() {
-      ++messages_delivered_;
-      nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-    });
+  for (int copy = 1; copy <= fate.duplicates; ++copy) deliver_at(now_ + delay + copy, msg);
+  if (link_ != nullptr && !self_message &&
+      link_->on_send(msg, node(msg.sender).kind(), node(target).kind(), now_, delay)) {
+    return;
   }
-  if (link_ != nullptr && !self_message) {
-    LinkHook::Deliver deliver = [this, msg, target](SimTime at) {
-      queue_.schedule(at, [this, msg, target]() {
-        ++messages_delivered_;
-        nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-      });
-    };
-    if (link_->on_send(msg, node(msg.sender).kind(), node(target).kind(), now_, delay,
-                       std::move(deliver))) {
-      return;
-    }
-  }
-  queue_.schedule(now_ + delay, [this, msg = std::move(msg), target]() {
-    ++messages_delivered_;
-    nodes_[static_cast<std::size_t>(target)]->on_message(*this, msg);
-  });
+  deliver_at(now_ + delay, msg);
+}
+
+void Simulator::deliver_at(SimTime at, const Message& msg) {
+  assert(at >= now_);
+  queue_.schedule_delivery(at, msg);
 }
 
 void Simulator::schedule(SimTime at, std::function<void()> action) {
@@ -78,12 +67,15 @@ void Simulator::schedule_after(SimTime delay, std::function<void()> action) {
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
   std::uint64_t executed = 0;
+  const auto deliver = [this](const Message& msg) {
+    ++messages_delivered_;
+    nodes_[static_cast<std::size_t>(msg.target)]->on_message(*this, msg);
+  };
   while (!queue_.empty() && executed < max_events) {
-    // Advance the clock before executing so actions observe the correct
+    // Advance the clock before executing so events observe the correct
     // current time when they send follow-up messages.
-    auto popped = queue_.pop_next();
-    now_ = popped.time;
-    popped.action();
+    now_ = queue_.next_time();
+    queue_.run_next(deliver);
     ++executed;
   }
   return executed;

@@ -44,6 +44,11 @@ class Simulator final : public Transport {
   /// exactly once.
   void send(Message msg) override;
 
+  /// Schedules the delivery of an already-sent message to `msg.target` at
+  /// `at` (>= now()), with no further hop accounting or hooks: the path a
+  /// LinkHook that owns a transfer uses to hand it back.
+  void deliver_at(SimTime at, const Message& msg);
+
   /// Schedules an arbitrary action (request injection, membership change).
   void schedule(SimTime at, std::function<void()> action);
   void schedule_after(SimTime delay, std::function<void()> action);

@@ -1,0 +1,68 @@
+// Open-addressing hash index from a 64-bit key to a 32-bit slot number.
+//
+// The simulator's hot structures (the indexed ADC mapping tables, the
+// proxies' pending-backwarding records) keep their rows in flat arrays and
+// need only "which row holds key K".  std::unordered_map answers that with
+// one heap node per key and a pointer chase per probe; this index keeps
+// {key, slot} pairs inline in one power-of-two bucket array instead:
+// Fibonacci hashing picks the home bucket, linear probing resolves
+// collisions, and erase shifts the following run back (no tombstones), so
+// lookups stay short under any insert/erase churn.  The bucket array grows
+// (doubling) whenever the load would exceed one half; an index sized for
+// its final population up front never allocates again.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace adc::util {
+
+class FlatIndex {
+ public:
+  /// Marks "no slot": returned by find() for absent keys.
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// Reserves room for `expected` keys without growing.
+  explicit FlatIndex(std::size_t expected = 0);
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+  /// The slot stored for `key`, or kNone.
+  std::uint32_t find(std::uint64_t key) const noexcept {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      const Bucket& b = buckets_[i];
+      if (b.slot == kNone || b.key == key) return b.slot;
+    }
+  }
+
+  bool contains(std::uint64_t key) const noexcept { return find(key) != kNone; }
+
+  /// Stores `slot` (!= kNone) for `key`, replacing any previous slot.
+  void assign(std::uint64_t key, std::uint32_t slot);
+
+  /// Removes `key`; returns false when it was absent.
+  bool erase(std::uint64_t key) noexcept;
+
+  /// Drops every key; keeps the bucket array.
+  void clear() noexcept;
+
+ private:
+  struct Bucket {
+    std::uint64_t key = 0;
+    std::uint32_t slot = kNone;  // kNone = empty bucket
+  };
+
+  std::size_t home(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void rehash(std::size_t buckets);
+
+  std::vector<Bucket> buckets_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
+  std::size_t size_ = 0;
+};
+
+}  // namespace adc::util

@@ -69,15 +69,15 @@ TEST(EdgeCases, OrderedTableManyEqualEntriesEvictInInsertionOrder) {
 
 TEST(EdgeCases, SingleTableFaithfulAndIndexedHandleRemoveLastInterleaving) {
   for (const TableImpl impl : {TableImpl::kFaithful, TableImpl::kIndexed}) {
-    SingleTable table(3, impl);
-    table.insert_on_top(make_entry(1, 0, 0));
-    table.insert_on_top(make_entry(2, 0, 0));
-    EXPECT_EQ(table.remove_last()->object, 1u);
-    table.insert_on_top(make_entry(3, 0, 0));
-    table.insert_on_top(make_entry(4, 0, 0));
-    EXPECT_EQ(table.size(), 3u);
+    auto table = make_single_table(3, impl);
+    table->insert_on_top(make_entry(1, 0, 0));
+    table->insert_on_top(make_entry(2, 0, 0));
+    EXPECT_EQ(table->remove_last()->object, 1u);
+    table->insert_on_top(make_entry(3, 0, 0));
+    table->insert_on_top(make_entry(4, 0, 0));
+    EXPECT_EQ(table->size(), 3u);
     // Order: 4, 3, 2.
-    const auto snapshot = table.snapshot();
+    const auto snapshot = table->snapshot();
     EXPECT_EQ(snapshot[0].object, 4u);
     EXPECT_EQ(snapshot[2].object, 2u);
   }

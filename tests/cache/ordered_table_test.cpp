@@ -216,6 +216,50 @@ TEST(OrderedTableEquivalence, FaithfulAndIndexedAgreeUnderRandomOps) {
   }
 }
 
+// The indexed table keeps a heap several levels deep at this capacity, and
+// the narrow skew range makes ties common: eviction order, best and worst
+// must still match the faithful sorted array after every operation.
+TEST(OrderedTableEquivalence, DeepHeapWithManyTiesMatchesFaithful) {
+  auto faithful = make_ordered_table(300, TableImpl::kFaithful);
+  auto indexed = make_ordered_table(300, TableImpl::kIndexed);
+  util::Rng rng(99);
+  for (int step = 0; step < 30000; ++step) {
+    const ObjectId object = rng.below(400);
+    const SimTime skew = static_cast<SimTime>(rng.below(8));
+    if (const auto a = faithful->remove(object)) {
+      const auto b = indexed->remove(object);
+      ASSERT_TRUE(b.has_value());
+      ASSERT_EQ(a->object, b->object);
+      if (rng.below(2) == 0) {
+        faithful->insert(entry_with(object, skew, 0));
+        indexed->insert(entry_with(object, skew, 0));
+      }
+    } else {
+      ASSERT_FALSE(indexed->contains(object));
+      if (faithful->full()) {
+        const auto wa = faithful->remove_worst();
+        const auto wb = indexed->remove_worst();
+        ASSERT_EQ(wa->object, wb->object) << "step " << step;
+      }
+      faithful->insert(entry_with(object, skew, 0));
+      indexed->insert(entry_with(object, skew, 0));
+    }
+    ASSERT_EQ(faithful->size(), indexed->size());
+    if (faithful->empty()) continue;
+    ASSERT_EQ(faithful->worst()->object, indexed->worst()->object) << "step " << step;
+    ASSERT_EQ(faithful->best()->object, indexed->best()->object) << "step " << step;
+  }
+  const auto sa = faithful->snapshot();
+  const auto sb = indexed->snapshot();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) ASSERT_EQ(sa[i].object, sb[i].object);
+  faithful->clear();
+  indexed->clear();
+  EXPECT_TRUE(indexed->empty());
+  EXPECT_EQ(indexed->worst(), nullptr);
+  EXPECT_EQ(indexed->best(), nullptr);
+}
+
 // Property: the physical order equals sorting by aged value at any time.
 TEST(OrderedTableProperty, SnapshotIsSortedByAgedValue) {
   auto table = make_ordered_table(32, TableImpl::kIndexed);

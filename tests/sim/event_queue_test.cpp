@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace adc::sim {
@@ -41,14 +42,14 @@ TEST(EventQueue, RunNextReturnsEventTime) {
   EXPECT_EQ(queue.run_next(), 42);
 }
 
-TEST(EventQueue, PopNextDoesNotRun) {
+TEST(EventQueue, NextTimePeeksWithoutRunning) {
   EventQueue queue;
   bool ran = false;
   queue.schedule(7, [&ran] { ran = true; });
-  auto popped = queue.pop_next();
-  EXPECT_EQ(popped.time, 7);
+  EXPECT_EQ(queue.next_time(), 7);
   EXPECT_FALSE(ran);
-  popped.action();
+  EXPECT_EQ(queue.size(), 1u);
+  queue.run_next();
   EXPECT_TRUE(ran);
 }
 
@@ -80,6 +81,64 @@ TEST(EventQueue, InterleavedScheduleAndRun) {
   queue.schedule(12, [&order] { order.push_back(12); });
   while (!queue.empty()) queue.run_next();
   EXPECT_EQ(order, (std::vector<int>{10, 12, 15}));
+}
+
+Message message_for(ObjectId object) {
+  Message msg;
+  msg.object = object;
+  msg.target = static_cast<NodeId>(object % 3);
+  return msg;
+}
+
+TEST(EventQueue, DeliveriesAndActionsShareOneOrder) {
+  EventQueue queue;
+  std::vector<ObjectId> order;
+  const auto deliver = [&order](const Message& msg) { order.push_back(msg.object); };
+  queue.schedule_delivery(5, message_for(50));
+  queue.schedule(5, [&order] { order.push_back(51); });
+  queue.schedule_delivery(1, message_for(10));
+  queue.schedule(3, [&order] { order.push_back(30); });
+  queue.schedule_delivery(5, message_for(52));
+  while (!queue.empty()) queue.run_next(deliver);
+  EXPECT_EQ(order, (std::vector<ObjectId>{10, 30, 50, 51, 52}));
+  EXPECT_EQ(queue.executed(), 5u);
+}
+
+TEST(EventQueue, DeliveryKeepsItsCopyOfTheMessage) {
+  EventQueue queue;
+  Message msg = message_for(7);
+  msg.hops = 3;
+  queue.schedule_delivery(2, msg);
+  msg.object = 99;  // the caller's copy is free to change
+  Message got;
+  queue.run_next([&got](const Message& m) { got = m; });
+  EXPECT_EQ(got.object, 7u);
+  EXPECT_EQ(got.hops, 3);
+  EXPECT_EQ(got.target, 1);
+}
+
+TEST(EventQueue, DeliveriesMayScheduleDeliveriesWhileSlotsRecycle) {
+  // Each delivery schedules two more until the budget runs out, so slots
+  // are recycled and the slot array grows while a delivery is running; a
+  // handler must still see the message it was scheduled with.
+  EventQueue queue;
+  std::vector<ObjectId> seen;
+  ObjectId next = 1;
+  const auto deliver = [&](const Message& msg) {
+    seen.push_back(msg.object);
+    for (int i = 0; i < 2 && next < 200; ++i) {
+      Message child = message_for(next++);
+      child.issued_at = msg.issued_at + 1 + i;
+      queue.schedule_delivery(child.issued_at, child);
+    }
+    EXPECT_EQ(msg.target, static_cast<NodeId>(msg.object % 3));
+  };
+  queue.schedule_delivery(0, message_for(0));
+  while (!queue.empty()) queue.run_next(deliver);
+  ASSERT_EQ(seen.size(), 200u);
+  std::vector<ObjectId> sorted = seen;
+  std::sort(sorted.begin(), sorted.end());
+  for (ObjectId i = 0; i < 200; ++i) EXPECT_EQ(sorted[i], i);
 }
 
 }  // namespace

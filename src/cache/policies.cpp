@@ -2,357 +2,188 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
-#include <optional>
 
+#include "util/keyed_list.h"
 #include "util/string_util.h"
 
 namespace adc::cache {
 namespace {
 
-/// LRU and FIFO share the list+index layout; FIFO simply ignores touches.
+/// LRU / FIFO / size-aware-LRU with byte accounting.  Rows live in a
+/// util::KeyedList in recency order (front = most recently used or
+/// inserted; FIFO ignores touches).  Inserting multi-evicts until both the
+/// count capacity and the byte budget hold; the size-aware variant picks
+/// the *largest* object among the coldest kVictimScan entries instead of
+/// the strict LRU tail.
 class ListCache final : public CacheSet {
  public:
-  ListCache(std::size_t capacity, bool bump_on_touch)
-      : CacheSet(capacity), bump_on_touch_(bump_on_touch) {
-    index_.reserve(capacity);
-  }
-
-  std::size_t size() const noexcept override { return order_.size(); }
-
-  bool contains(ObjectId object) const noexcept override {
-    return index_.find(object) != index_.end();
-  }
-
-  void touch(ObjectId object) override {
-    if (!bump_on_touch_) return;
-    const auto it = index_.find(object);
-    if (it == index_.end()) return;
-    order_.splice(order_.begin(), order_, it->second);
-  }
-
-  std::optional<ObjectId> insert(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it != index_.end()) {
-      touch(object);
-      return std::nullopt;
-    }
-    std::optional<ObjectId> evicted;
-    if (full() && capacity() > 0) {
-      evicted = order_.back();
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-    order_.push_front(object);
-    index_.emplace(object, order_.begin());
-    return evicted;
-  }
-
-  bool erase(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return false;
-    order_.erase(it->second);
-    index_.erase(it);
-    return true;
-  }
-
-  void clear() override {
-    order_.clear();
-    index_.clear();
-  }
-
-  std::vector<ObjectId> eviction_order() const override {
-    return std::vector<ObjectId>(order_.rbegin(), order_.rend());
-  }
-
- private:
-  bool bump_on_touch_;
-  std::list<ObjectId> order_;  // front = most recently used/inserted
-  std::unordered_map<ObjectId, std::list<ObjectId>::iterator> index_;
-};
-
-/// LFU with FIFO tie-breaking among equal frequencies (classic frequency
-/// list structure; O(log n) via ordered key (freq, seq)).
-class LfuCache final : public CacheSet {
- public:
-  explicit LfuCache(std::size_t capacity) : CacheSet(capacity) { index_.reserve(capacity); }
-
-  std::size_t size() const noexcept override { return index_.size(); }
-
-  bool contains(ObjectId object) const noexcept override {
-    return index_.find(object) != index_.end();
-  }
-
-  void touch(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return;
-    Meta meta = it->second;
-    tree_.erase({meta.freq, meta.seq});
-    ++meta.freq;
-    meta.seq = next_seq_++;
-    tree_.emplace(Key{meta.freq, meta.seq}, object);
-    it->second = meta;
-  }
-
-  std::optional<ObjectId> insert(ObjectId object) override {
-    if (contains(object)) {
-      touch(object);
-      return std::nullopt;
-    }
-    std::optional<ObjectId> evicted;
-    if (full() && capacity() > 0) {
-      const auto victim = tree_.begin();
-      evicted = victim->second;
-      index_.erase(victim->second);
-      tree_.erase(victim);
-    }
-    const Meta meta{1, next_seq_++};
-    tree_.emplace(Key{meta.freq, meta.seq}, object);
-    index_.emplace(object, meta);
-    return evicted;
-  }
-
-  bool erase(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return false;
-    tree_.erase({it->second.freq, it->second.seq});
-    index_.erase(it);
-    return true;
-  }
-
-  void clear() override {
-    tree_.clear();
-    index_.clear();
-  }
-
-  std::vector<ObjectId> eviction_order() const override {
-    std::vector<ObjectId> out;
-    out.reserve(tree_.size());
-    for (const auto& [key, object] : tree_) out.push_back(object);
-    return out;
-  }
-
- private:
-  using Key = std::pair<std::uint64_t, std::uint64_t>;  // (freq, insertion seq)
-  struct Meta {
-    std::uint64_t freq;
-    std::uint64_t seq;
-  };
-
-  std::map<Key, ObjectId> tree_;
-  std::unordered_map<ObjectId, Meta> index_;
-  std::uint64_t next_seq_ = 0;
-};
-
-/// LRU / FIFO / size-aware-LRU with byte accounting.  Keeps the ListCache
-/// recency structure but multi-evicts until both the count capacity and
-/// the byte budget hold; the size-aware variant picks the *largest* object
-/// among the coldest kVictimScan entries instead of the strict LRU tail.
-class SizedListCache final : public CacheSet {
- public:
-  SizedListCache(std::size_t capacity, bool bump_on_touch, bool size_aware_victim,
-                 std::uint64_t byte_budget, SizeFn size_fn)
+  ListCache(std::size_t capacity, bool bump_on_touch, bool size_aware_victim,
+            std::uint64_t byte_budget, SizeFn size_fn)
       : CacheSet(capacity),
         bump_on_touch_(bump_on_touch),
         size_aware_victim_(size_aware_victim),
         budget_(byte_budget),
-        size_fn_(std::move(size_fn)) {
-    index_.reserve(capacity);
-  }
+        size_fn_(std::move(size_fn)) {}
 
-  std::size_t size() const noexcept override { return order_.size(); }
+  std::size_t size() const noexcept override { return rows_.size(); }
   std::uint64_t bytes() const noexcept override { return bytes_; }
   std::uint64_t byte_budget() const noexcept override { return budget_; }
 
-  bool contains(ObjectId object) const noexcept override {
-    return index_.find(object) != index_.end();
-  }
+  bool contains(ObjectId object) const noexcept override { return rows_.contains(object); }
 
   void touch(ObjectId object) override {
     if (!bump_on_touch_) return;
-    const auto it = index_.find(object);
-    if (it == index_.end()) return;
-    order_.splice(order_.begin(), order_, it->second.where);
+    const Slot slot = rows_.find(object);
+    if (slot != Rows::kNil) rows_.move_to_front(slot);
   }
 
-  std::optional<ObjectId> insert(ObjectId object) override {
-    const std::vector<ObjectId> evicted = insert_evicting(object);
-    if (evicted.empty()) return std::nullopt;
-    return evicted.front();
-  }
-
-  std::vector<ObjectId> insert_evicting(ObjectId object) override {
+  void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) override {
     if (contains(object)) {
       touch(object);
-      return {};
+      return;
     }
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
-    if (budget_ > 0 && sz > budget_) return {};  // can never fit
-    std::vector<ObjectId> evicted;
-    while (!order_.empty() &&
+    if (budget_ > 0 && sz > budget_) return;  // can never fit
+    while (!rows_.empty() &&
            ((capacity() > 0 && size() >= capacity()) || (budget_ > 0 && bytes_ + sz > budget_))) {
-      evicted.push_back(evict_one());
+      evicted->push_back(evict(victim(rows_)));
     }
-    order_.push_front(object);
-    index_.emplace(object, Entry{order_.begin(), sz});
+    rows_.push_front(Entry{object, sz});
     bytes_ += sz;
-    return evicted;
   }
 
   bool erase(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return false;
-    bytes_ -= it->second.size;
-    order_.erase(it->second.where);
-    index_.erase(it);
+    const Slot slot = rows_.find(object);
+    if (slot == Rows::kNil) return false;
+    evict(slot);
     return true;
   }
 
   void clear() override {
-    order_.clear();
-    index_.clear();
+    rows_.clear();
     bytes_ = 0;
   }
 
   std::vector<ObjectId> set_byte_budget(std::uint64_t budget) override {
     budget_ = budget;
     std::vector<ObjectId> evicted;
-    while (budget_ > 0 && bytes_ > budget_ && !order_.empty()) {
-      evicted.push_back(evict_one());
+    while (budget_ > 0 && bytes_ > budget_ && !rows_.empty()) {
+      evicted.push_back(evict(victim(rows_)));
     }
     return evicted;
   }
 
   std::vector<ObjectId> eviction_order() const override {
-    if (!size_aware_victim_) {
-      return std::vector<ObjectId>(order_.rbegin(), order_.rend());
-    }
-    // Replay the windowed victim scan over a scratch copy so the snapshot
-    // predicts exactly what successive evict_one() calls would pick.
+    // Replay the victim choice over a scratch copy so the snapshot
+    // predicts exactly what successive evictions would pick.
     std::vector<ObjectId> out;
-    out.reserve(order_.size());
-    std::list<ObjectId> rest(order_.begin(), order_.end());
+    out.reserve(rows_.size());
+    Rows rest = rows_;
     while (!rest.empty()) {
-      auto victim = std::prev(rest.end());
-      auto it = victim;
-      for (std::size_t scanned = 1; scanned < kVictimScan && it != rest.begin(); ++scanned) {
-        --it;
-        if (index_.at(*it).size > index_.at(*victim).size) victim = it;
-      }
-      out.push_back(*victim);
-      rest.erase(victim);
+      const Slot slot = victim(rest);
+      out.push_back(rest[slot].object);
+      rest.erase(slot);
     }
     return out;
   }
 
  private:
+  struct Entry {
+    ObjectId object;
+    std::uint64_t size;
+    std::uint64_t key() const noexcept { return object; }
+  };
+  using Rows = util::KeyedList<Entry>;
+  using Slot = Rows::Slot;
+
   /// Size-aware victim scan depth: bounds the cost of each eviction while
   /// still letting large cold objects jump the strict LRU queue.
   static constexpr std::size_t kVictimScan = 8;
 
-  ObjectId evict_one() {
-    auto victim = std::prev(order_.end());
+  Slot victim(const Rows& rows) const {
+    Slot victim = rows.back();
     if (size_aware_victim_) {
-      auto it = victim;
-      for (std::size_t scanned = 1; scanned < kVictimScan && it != order_.begin(); ++scanned) {
-        --it;
+      Slot slot = victim;
+      for (std::size_t scanned = 1; scanned < kVictimScan; ++scanned) {
+        slot = rows.prev(slot);
+        if (slot == Rows::kNil) break;
         // Strictly greater: on ties the colder (closer-to-tail) entry wins.
-        if (index_.at(*it).size > index_.at(*victim).size) victim = it;
+        if (rows[slot].size > rows[victim].size) victim = slot;
       }
     }
-    const ObjectId object = *victim;
-    bytes_ -= index_.at(object).size;
-    index_.erase(object);
-    order_.erase(victim);
-    return object;
+    return victim;
   }
 
-  struct Entry {
-    std::list<ObjectId>::iterator where;
-    std::uint64_t size;
-  };
+  ObjectId evict(Slot slot) {
+    const Entry entry = rows_.erase(slot);
+    bytes_ -= entry.size;
+    return entry.object;
+  }
 
   bool bump_on_touch_;
   bool size_aware_victim_;
   std::uint64_t budget_;
   SizeFn size_fn_;
   std::uint64_t bytes_ = 0;
-  std::list<ObjectId> order_;  // front = most recently used/inserted
-  std::unordered_map<ObjectId, Entry> index_;
+  Rows rows_;
 };
 
-/// GDSF and byte-budgeted LFU share the ordered-tree layout; they differ
-/// only in the priority function (GDSF: L + freq / size with L inflation;
-/// LFU: plain frequency).  Ties break on insertion sequence, so eviction
-/// order is fully deterministic.
-class SizedTreeCache final : public CacheSet {
+/// GDSF and LFU share one layout; they differ only in the priority
+/// function (GDSF: L + freq / size with L inflation; LFU: plain
+/// frequency).  Rows live in a util::KeyedList (its order is unused) and a
+/// binary min-heap of (priority, insertion seq) picks the victim.  The seq
+/// makes every key unique, so the minimum — and therefore the whole
+/// eviction order — is fully deterministic.
+class HeapCache final : public CacheSet {
  public:
-  SizedTreeCache(std::size_t capacity, bool gdsf, std::uint64_t byte_budget, SizeFn size_fn)
-      : CacheSet(capacity), gdsf_(gdsf), budget_(byte_budget), size_fn_(std::move(size_fn)) {
-    index_.reserve(capacity);
-  }
+  HeapCache(std::size_t capacity, bool gdsf, std::uint64_t byte_budget, SizeFn size_fn)
+      : CacheSet(capacity), gdsf_(gdsf), budget_(byte_budget), size_fn_(std::move(size_fn)) {}
 
-  std::size_t size() const noexcept override { return index_.size(); }
+  std::size_t size() const noexcept override { return rows_.size(); }
   std::uint64_t bytes() const noexcept override { return bytes_; }
   std::uint64_t byte_budget() const noexcept override { return budget_; }
 
-  bool contains(ObjectId object) const noexcept override {
-    return index_.find(object) != index_.end();
-  }
+  bool contains(ObjectId object) const noexcept override { return rows_.contains(object); }
 
   void touch(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return;
-    Meta meta = it->second;
-    tree_.erase({meta.priority, meta.seq});
+    const Slot slot = rows_.find(object);
+    if (slot == Rows::kNil) return;
+    Meta& meta = rows_[slot];
     ++meta.freq;
-    meta.seq = next_seq_++;
-    meta.priority = priority_of(meta.freq, meta.size);
-    tree_.emplace(Key{meta.priority, meta.seq}, object);
-    it->second = meta;
+    Key& key = heap_[meta.heap_pos];
+    key.priority = priority_of(meta.freq, meta.size);
+    key.seq = next_seq_++;
+    // The key only grows (freq and L never fall, seq is fresh).
+    sift_down(meta.heap_pos);
   }
 
-  std::optional<ObjectId> insert(ObjectId object) override {
-    const std::vector<ObjectId> evicted = insert_evicting(object);
-    if (evicted.empty()) return std::nullopt;
-    return evicted.front();
-  }
-
-  std::vector<ObjectId> insert_evicting(ObjectId object) override {
+  void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) override {
     if (contains(object)) {
       touch(object);
-      return {};
+      return;
     }
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
-    if (budget_ > 0 && sz > budget_) return {};
-    std::vector<ObjectId> evicted;
-    while (!tree_.empty() &&
+    if (budget_ > 0 && sz > budget_) return;
+    while (!heap_.empty() &&
            ((capacity() > 0 && size() >= capacity()) || (budget_ > 0 && bytes_ + sz > budget_))) {
-      evicted.push_back(evict_one());
+      evicted->push_back(evict_min());
     }
-    Meta meta;
-    meta.freq = 1;
-    meta.seq = next_seq_++;
-    meta.size = sz;
-    meta.priority = priority_of(meta.freq, meta.size);
-    tree_.emplace(Key{meta.priority, meta.seq}, object);
-    index_.emplace(object, meta);
+    const Slot slot = rows_.push_back(Meta{object, 1, sz, 0});
+    heap_.push_back(Key{priority_of(1, sz), next_seq_++, slot});
+    sift_up(heap_.size() - 1);
     bytes_ += sz;
-    return evicted;
   }
 
   bool erase(ObjectId object) override {
-    const auto it = index_.find(object);
-    if (it == index_.end()) return false;
-    bytes_ -= it->second.size;
-    tree_.erase({it->second.priority, it->second.seq});
-    index_.erase(it);
+    const Slot slot = rows_.find(object);
+    if (slot == Rows::kNil) return false;
+    remove(slot);
     return true;
   }
 
   void clear() override {
-    tree_.clear();
-    index_.clear();
+    rows_.clear();
+    heap_.clear();
     bytes_ = 0;
     // L_ deliberately survives clear(): GDSF's clock only moves forward.
   }
@@ -360,27 +191,40 @@ class SizedTreeCache final : public CacheSet {
   std::vector<ObjectId> set_byte_budget(std::uint64_t budget) override {
     budget_ = budget;
     std::vector<ObjectId> evicted;
-    while (budget_ > 0 && bytes_ > budget_ && !tree_.empty()) {
-      evicted.push_back(evict_one());
+    while (budget_ > 0 && bytes_ > budget_ && !heap_.empty()) {
+      evicted.push_back(evict_min());
     }
     return evicted;
   }
 
   std::vector<ObjectId> eviction_order() const override {
+    std::vector<Key> keys = heap_;
+    std::sort(keys.begin(), keys.end(), less);
     std::vector<ObjectId> out;
-    out.reserve(tree_.size());
-    for (const auto& [key, object] : tree_) out.push_back(object);
+    out.reserve(keys.size());
+    for (const Key& key : keys) out.push_back(rows_[key.slot].object);
     return out;
   }
 
  private:
-  using Key = std::pair<double, std::uint64_t>;  // (priority, insertion seq)
   struct Meta {
-    double priority = 0.0;
-    std::uint64_t seq = 0;
-    std::uint64_t freq = 0;
-    std::uint64_t size = 1;
+    ObjectId object;
+    std::uint64_t freq;
+    std::uint64_t size;
+    std::size_t heap_pos;
+    std::uint64_t key() const noexcept { return object; }
   };
+  using Rows = util::KeyedList<Meta>;
+  using Slot = Rows::Slot;
+  struct Key {
+    double priority;
+    std::uint64_t seq;  // insertion/touch order: breaks priority ties
+    Slot slot;
+  };
+
+  static bool less(const Key& a, const Key& b) noexcept {
+    return a.priority < b.priority || (a.priority == b.priority && a.seq < b.seq);
+  }
 
   double priority_of(std::uint64_t freq, std::uint64_t size) const {
     if (!gdsf_) return static_cast<double>(freq);
@@ -388,13 +232,53 @@ class SizedTreeCache final : public CacheSet {
     return inflation_ + static_cast<double>(freq) / static_cast<double>(size == 0 ? 1 : size);
   }
 
-  ObjectId evict_one() {
-    const auto victim = tree_.begin();
-    const ObjectId object = victim->second;
-    if (gdsf_) inflation_ = std::max(inflation_, victim->first.first);
-    bytes_ -= index_.at(object).size;
-    index_.erase(object);
-    tree_.erase(victim);
+  void put(std::size_t pos, const Key& key) noexcept {
+    heap_[pos] = key;
+    rows_[key.slot].heap_pos = pos;
+  }
+
+  void sift_up(std::size_t pos) noexcept {
+    const Key key = heap_[pos];
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / 2;
+      if (!less(key, heap_[parent])) break;
+      put(pos, heap_[parent]);
+      pos = parent;
+    }
+    put(pos, key);
+  }
+
+  void sift_down(std::size_t pos) noexcept {
+    const Key key = heap_[pos];
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
+      if (!less(heap_[child], key)) break;
+      put(pos, heap_[child]);
+      pos = child;
+    }
+    put(pos, key);
+  }
+
+  /// Drops the row and its heap key, restoring the heap around the hole.
+  void remove(Slot slot) {
+    const std::size_t pos = rows_[slot].heap_pos;
+    bytes_ -= rows_.erase(slot).size;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size()) return;
+    put(pos, last);
+    sift_up(pos);
+    sift_down(rows_[last.slot].heap_pos);
+  }
+
+  ObjectId evict_min() {
+    const Key& victim = heap_.front();
+    if (gdsf_) inflation_ = std::max(inflation_, victim.priority);
+    const ObjectId object = rows_[victim.slot].object;
+    remove(victim.slot);
     return object;
   }
 
@@ -403,8 +287,8 @@ class SizedTreeCache final : public CacheSet {
   SizeFn size_fn_;
   std::uint64_t bytes_ = 0;
   double inflation_ = 0.0;  // GDSF's L
-  std::map<Key, ObjectId> tree_;
-  std::unordered_map<ObjectId, Meta> index_;
+  Rows rows_;
+  std::vector<Key> heap_;  // binary min-heap on (priority, seq)
   std::uint64_t next_seq_ = 0;
 };
 
@@ -438,19 +322,7 @@ std::string_view policy_name(Policy policy) noexcept {
 }
 
 std::unique_ptr<CacheSet> make_cache(std::size_t capacity, Policy policy) {
-  assert(capacity > 0);
-  switch (policy) {
-    case Policy::kLru:
-      return std::make_unique<ListCache>(capacity, /*bump_on_touch=*/true);
-    case Policy::kFifo:
-      return std::make_unique<ListCache>(capacity, /*bump_on_touch=*/false);
-    case Policy::kLfu:
-      return std::make_unique<LfuCache>(capacity);
-    case Policy::kGdsf:
-    case Policy::kSizeLru:
-      return make_sized_cache(capacity, policy, /*byte_budget=*/0, /*size_fn=*/nullptr);
-  }
-  return std::make_unique<ListCache>(capacity, true);
+  return make_sized_cache(capacity, policy, /*byte_budget=*/0, /*size_fn=*/nullptr);
 }
 
 std::unique_ptr<CacheSet> make_sized_cache(std::size_t capacity, Policy policy,
@@ -458,25 +330,25 @@ std::unique_ptr<CacheSet> make_sized_cache(std::size_t capacity, Policy policy,
   assert(capacity > 0);
   switch (policy) {
     case Policy::kLru:
-      return std::make_unique<SizedListCache>(capacity, /*bump_on_touch=*/true,
-                                              /*size_aware_victim=*/false, byte_budget,
-                                              std::move(size_fn));
+      break;
     case Policy::kFifo:
-      return std::make_unique<SizedListCache>(capacity, /*bump_on_touch=*/false,
-                                              /*size_aware_victim=*/false, byte_budget,
-                                              std::move(size_fn));
+      return std::make_unique<ListCache>(capacity, /*bump_on_touch=*/false,
+                                         /*size_aware_victim=*/false, byte_budget,
+                                         std::move(size_fn));
     case Policy::kSizeLru:
-      return std::make_unique<SizedListCache>(capacity, /*bump_on_touch=*/true,
-                                              /*size_aware_victim=*/true, byte_budget,
-                                              std::move(size_fn));
+      return std::make_unique<ListCache>(capacity, /*bump_on_touch=*/true,
+                                         /*size_aware_victim=*/true, byte_budget,
+                                         std::move(size_fn));
     case Policy::kLfu:
-      return std::make_unique<SizedTreeCache>(capacity, /*gdsf=*/false, byte_budget,
-                                              std::move(size_fn));
+      return std::make_unique<HeapCache>(capacity, /*gdsf=*/false, byte_budget,
+                                         std::move(size_fn));
     case Policy::kGdsf:
-      return std::make_unique<SizedTreeCache>(capacity, /*gdsf=*/true, byte_budget,
-                                              std::move(size_fn));
+      return std::make_unique<HeapCache>(capacity, /*gdsf=*/true, byte_budget,
+                                         std::move(size_fn));
   }
-  return std::make_unique<SizedListCache>(capacity, true, false, byte_budget, std::move(size_fn));
+  return std::make_unique<ListCache>(capacity, /*bump_on_touch=*/true,
+                                     /*size_aware_victim=*/false, byte_budget,
+                                     std::move(size_fn));
 }
 
 }  // namespace adc::cache

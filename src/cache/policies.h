@@ -12,12 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "util/types.h"
@@ -65,19 +62,28 @@ class CacheSet {
   /// Records a cache hit (LRU recency bump / LFU frequency bump).
   virtual void touch(ObjectId object) = 0;
 
-  /// Inserts an object, evicting per policy when full.  Returns the evicted
-  /// object id, if any.  Inserting a present object behaves like touch().
-  virtual std::optional<ObjectId> insert(ObjectId object) = 0;
+  /// Inserts an object, evicting per policy, and appends *every* object
+  /// evicted to admit it to `*evicted` (victim first).  Count-capacity
+  /// caches evict at most one; byte-budgeted caches may evict several to
+  /// make room for a large object (and may admit nothing when the object
+  /// alone exceeds the budget — check contains()).  Inserting a present
+  /// object behaves like touch().  Callers maintaining per-object side
+  /// state must use this form (or the returning one below); a reused
+  /// `evicted` vector keeps the call allocation-free.
+  virtual void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) = 0;
 
-  /// Like insert(), but returns *every* object evicted to admit this one.
-  /// Count-capacity caches evict at most one; byte-budgeted caches may
-  /// evict several to make room for a large object (and may admit nothing
-  /// when the object alone exceeds the budget — check contains()).
-  /// Callers maintaining per-object side state must use this form.
-  virtual std::vector<ObjectId> insert_evicting(ObjectId object) {
-    const std::optional<ObjectId> evicted = insert(object);
-    if (evicted) return {*evicted};
-    return {};
+  /// Same, returning the evicted objects.
+  std::vector<ObjectId> insert_evicting(ObjectId object) {
+    std::vector<ObjectId> evicted;
+    insert_evicting(object, &evicted);
+    return evicted;
+  }
+
+  /// Inserts an object; returns the first object evicted, if any.
+  std::optional<ObjectId> insert(ObjectId object) {
+    const std::vector<ObjectId> evicted = insert_evicting(object);
+    if (evicted.empty()) return std::nullopt;
+    return evicted.front();
   }
 
   /// Removes a specific object; true if it was present.
@@ -90,15 +96,16 @@ class CacheSet {
 
   // --- Byte accounting (size-aware caches; no-ops otherwise) -------------
 
-  /// Total bytes of the cached objects (0 for count-only caches).
-  virtual std::uint64_t bytes() const noexcept { return 0; }
+  /// Total bytes of the cached objects (a count-only cache charges one
+  /// byte per object).
+  virtual std::uint64_t bytes() const noexcept = 0;
 
   /// The byte budget (0 = unbounded bytes).
-  virtual std::uint64_t byte_budget() const noexcept { return 0; }
+  virtual std::uint64_t byte_budget() const noexcept = 0;
 
   /// Re-budgets the cache, evicting per policy until the new budget fits;
   /// returns the objects evicted by the transition (victim first).
-  virtual std::vector<ObjectId> set_byte_budget(std::uint64_t /*budget*/) { return {}; }
+  virtual std::vector<ObjectId> set_byte_budget(std::uint64_t budget) = 0;
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -118,8 +125,9 @@ class CacheSet {
   std::size_t capacity_;
 };
 
-/// Count-capacity cache; kGdsf / kSizeLru fall back to unit sizes here
-/// (equivalent to LFU-with-aging and LRU respectively).
+/// Count-capacity cache: every object is charged one byte and no byte
+/// budget applies, so kGdsf / kSizeLru degenerate to LFU-with-aging and
+/// LRU respectively.
 std::unique_ptr<CacheSet> make_cache(std::size_t capacity, Policy policy);
 
 /// Size-aware cache: enforces the count capacity *and*, when byte_budget

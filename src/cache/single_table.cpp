@@ -3,7 +3,7 @@
 #include <cassert>
 #include <list>
 
-#include "util/flat_index.h"
+#include "util/keyed_list.h"
 
 namespace adc::cache {
 namespace {
@@ -71,106 +71,64 @@ class ListSingleTable final : public SingleTable {
   std::list<TableEntry> entries_;  // front = most recent
 };
 
-/// Indexed variant: the LRU list is threaded through a fixed array of rows
-/// by 32-bit links; free rows form a second list through `next`.
+/// Indexed variant: the LRU order lives in a util::KeyedList reserved for
+/// the full capacity, so rows never move and nothing allocates.
 class FlatSingleTable final : public SingleTable {
  public:
-  explicit FlatSingleTable(std::size_t capacity)
-      : SingleTable(capacity), rows_(capacity), index_(capacity) {
-    clear();
-  }
+  explicit FlatSingleTable(std::size_t capacity) : SingleTable(capacity), rows_(capacity) {}
 
-  std::size_t size() const noexcept override { return index_.size(); }
+  std::size_t size() const noexcept override { return rows_.size(); }
   TableImpl impl() const noexcept override { return TableImpl::kIndexed; }
 
   const TableEntry* find(ObjectId object) const noexcept override {
-    const std::uint32_t row = index_.find(object);
-    return row == kNil ? nullptr : &rows_[row].entry;
+    const Slot row = rows_.find(object);
+    return row == kNil ? nullptr : &rows_[row];
   }
 
   TableEntry* find_mutable(ObjectId object) noexcept override {
-    const std::uint32_t row = index_.find(object);
-    return row == kNil ? nullptr : &rows_[row].entry;
+    const Slot row = rows_.find(object);
+    return row == kNil ? nullptr : &rows_[row];
   }
 
   std::optional<TableEntry> remove(ObjectId object) override {
-    const std::uint32_t row = index_.find(object);
+    const Slot row = rows_.find(object);
     if (row == kNil) return std::nullopt;
-    return release(row);
+    return rows_.erase(row);
   }
 
   std::optional<TableEntry> remove_last() override {
-    if (tail_ == kNil) return std::nullopt;
-    return release(tail_);
+    if (rows_.empty()) return std::nullopt;
+    return rows_.erase(rows_.back());
   }
 
   const TableEntry* top() const noexcept override {
-    return head_ == kNil ? nullptr : &rows_[head_].entry;
+    return rows_.empty() ? nullptr : &rows_[rows_.front()];
   }
 
   const TableEntry* bottom() const noexcept override {
-    return tail_ == kNil ? nullptr : &rows_[tail_].entry;
+    return rows_.empty() ? nullptr : &rows_[rows_.back()];
   }
 
-  void clear() override {
-    index_.clear();
-    head_ = tail_ = kNil;
-    free_ = kNil;
-    for (std::size_t i = rows_.size(); i-- > 0;) {
-      rows_[i].next = free_;
-      free_ = static_cast<std::uint32_t>(i);
-    }
-  }
+  void clear() override { rows_.clear(); }
 
   std::vector<TableEntry> snapshot() const override {
     std::vector<TableEntry> out;
     out.reserve(size());
-    for (std::uint32_t row = head_; row != kNil; row = rows_[row].next) {
-      out.push_back(rows_[row].entry);
-    }
+    rows_.for_each([&out](const TableEntry& entry) { out.push_back(entry); });
     return out;
   }
 
  private:
-  static constexpr std::uint32_t kNil = util::FlatIndex::kNone;
-
-  struct Row {
-    TableEntry entry;
-    std::uint32_t prev = kNil;  // toward the top
-    std::uint32_t next = kNil;  // toward the bottom (or the next free row)
-  };
+  using Rows = util::KeyedList<TableEntry>;
+  using Slot = Rows::Slot;
+  static constexpr Slot kNil = Rows::kNil;
 
   void push_front(const TableEntry& entry) override {
-    assert(free_ != kNil && !index_.contains(entry.object));
-    const std::uint32_t row = free_;
-    Row& r = rows_[row];
-    free_ = r.next;
-    r.entry = entry;
-    r.prev = kNil;
-    r.next = head_;
-    if (head_ != kNil) rows_[head_].prev = row;
-    head_ = row;
-    if (tail_ == kNil) tail_ = row;
-    index_.assign(entry.object, row);
+    assert(!full() && !rows_.contains(entry.object));
+    rows_.push_front(entry);
   }
 
-  /// Unlinks a live row, returns it to the free list and hands back its
-  /// entry.
-  TableEntry release(std::uint32_t row) {
-    Row& r = rows_[row];
-    (r.prev == kNil ? head_ : rows_[r.prev].next) = r.next;
-    (r.next == kNil ? tail_ : rows_[r.next].prev) = r.prev;
-    index_.erase(r.entry.object);
-    r.next = free_;
-    free_ = row;
-    return r.entry;
-  }
-
-  std::vector<Row> rows_;
-  util::FlatIndex index_;
-  std::uint32_t head_ = kNil;  // most recent
-  std::uint32_t tail_ = kNil;  // least recent
-  std::uint32_t free_ = kNil;
+  Rows rows_;  // front = most recent
 };
 
 }  // namespace

@@ -8,9 +8,10 @@
 // TableImpl:
 //  * kFaithful — a std::list scanned element by element: the paper's
 //    structure, whose cost Figure 15 measures.
-//  * kIndexed — the same LRU order as a doubly linked list threaded
-//    through a fixed array of rows, plus a flat hash index from object id
-//    to row: every operation O(1), no allocation after construction.
+//  * kIndexed — the same LRU order as a util::KeyedList reserved for the
+//    full capacity (a linked list threaded through one array of rows plus
+//    a flat hash index from object id to row): every operation O(1), no
+//    allocation after construction.
 #pragma once
 
 #include <cstddef>

@@ -66,6 +66,9 @@ struct TableEntry {
   /// Time-invariant ordering key: entries with smaller skew have smaller
   /// aged value at every instant.
   SimTime skew() const noexcept { return average - last; }
+
+  /// Lookup key in the indexed tables (util::KeyedList).
+  std::uint64_t key() const noexcept { return object; }
 };
 
 /// Creates the paper's "part 4" fresh entry: AVG 0, HITS 1, LAST = now.

@@ -1,10 +1,10 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "fault/faulty_network.h"
@@ -18,6 +18,7 @@
 #include "proxy/origin_server.h"
 #include "proxy/soap_proxy.h"
 #include "sim/simulator.h"
+#include "util/flat_index.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -632,7 +633,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
         down.insert(window.node);
       }
     }
-    std::unordered_map<ObjectId, std::uint64_t> index_mask;
+    // Object -> row of `index_mask` (the chunk indexes seen for it).
+    util::FlatIndex mask_row;
+    std::vector<std::uint64_t> index_mask;
     for (int i = 0; i < p; ++i) {
       const NodeId proxy_id = proxy_ids[static_cast<std::size_t>(i)];
       if (down.count(proxy_id) != 0) continue;
@@ -654,16 +657,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
           break;  // the other schemes host no erasure tier
       }
       if (tier == nullptr) continue;
-      tier->for_each_chunk([&index_mask](ObjectId object, int index, std::uint64_t) {
-        if (index >= 0 && index < 64) index_mask[object] |= 1ULL << index;
+      // RdpCode caps the stripe at 64 chunks, so every valid index fits.
+      tier->for_each_chunk([&](ObjectId object, int index, std::uint64_t) {
+        if (index < 0 || index >= 64) return;
+        std::uint32_t row = mask_row.find(object);
+        if (row == util::FlatIndex::kNone) {
+          row = static_cast<std::uint32_t>(index_mask.size());
+          mask_row.assign(object, row);
+          index_mask.push_back(0);
+        }
+        index_mask[row] |= 1ULL << index;
       });
     }
     const int k = payload_store->code().k();
-    for (const auto& entry : index_mask) {
-      ++result.store.stripe_objects_tracked;
-      int held = 0;
-      for (std::uint64_t m = entry.second; m != 0; m &= m - 1) ++held;
-      if (held < k) ++result.store.stripes_stranded;
+    result.store.stripe_objects_tracked += index_mask.size();
+    for (const std::uint64_t mask : index_mask) {
+      if (std::popcount(mask) < k) ++result.store.stripes_stranded;
     }
   }
 

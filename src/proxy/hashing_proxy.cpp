@@ -120,10 +120,18 @@ void HashingProxy::send_reply_toward_client(Transport& net, Message reply, NodeI
 }
 
 void HashingProxy::admit(ObjectId object, std::uint64_t version) {
-  for (const ObjectId evicted : cache_->insert_evicting(object)) versions_.erase(evicted);
+  evicted_.clear();
+  cache_->insert_evicting(object, &evicted_);
+  for (const ObjectId evicted : evicted_) versions_.erase_key(evicted);
   // A size-aware cache may refuse admission outright (object larger than
   // the byte budget); only remember versions for objects actually held.
-  if (cache_->contains(object)) versions_[object] = version;
+  if (!cache_->contains(object)) return;
+  const auto slot = versions_.find(object);
+  if (slot == versions_.kNil) {
+    versions_.push_back(Version{object, version});
+  } else {
+    versions_[slot].version = version;
+  }
 }
 
 void HashingProxy::receive_request(Transport& net, const Message& msg) {
@@ -138,8 +146,7 @@ void HashingProxy::receive_request(Transport& net, const Message& msg) {
     reply.resolver = id();
     reply.cached = true;
     reply.proxy_hit = true;
-    const auto version = versions_.find(object);
-    reply.version = version == versions_.end() ? 0 : version->second;
+    reply.version = version_of(object);
     reply.payload_bytes = size_of(object);
     stats_.payload_bytes_served += reply.payload_bytes;
     // A hit at the owner is returned directly to the client (bypassing the
@@ -163,8 +170,10 @@ void HashingProxy::receive_request(Transport& net, const Message& msg) {
 
   // We are the owner (or the entry proxy owns the object): resolve at the
   // origin and remember where the reply must go.
-  pending_.emplace(msg.request_id,
-                   Route{msg.client, from_client ? kInvalidNode : msg.sender});
+  if (!pending_.contains(msg.request_id)) {
+    pending_.push_back(
+        Route{msg.request_id, msg.client, from_client ? kInvalidNode : msg.sender});
+  }
 
   // Degraded-read window: once SWIM confirmed a member dead, prefer
   // reconstructing the object from surviving stripe chunks over refetching
@@ -189,10 +198,9 @@ void HashingProxy::handle_chunk_reply(Transport& net, const Message& msg) {
     case store::ErasureTier::Outcome::kPending:
       return;
     case store::ErasureTier::Outcome::kRecovered: {
-      const auto it = pending_.find(res.request.request_id);
-      if (it == pending_.end()) return;  // route gone (e.g. flushed): drop
-      const Route route = it->second;
-      pending_.erase(it);
+      const auto slot = pending_.find(res.request.request_id);
+      if (slot == pending_.kNil) return;  // route gone (e.g. flushed): drop
+      const Route route = pending_.erase(slot);
       ++stats_.degraded_reads_served;
       Message reply = res.request;
       reply.resolver = id();
@@ -201,8 +209,7 @@ void HashingProxy::handle_chunk_reply(Transport& net, const Message& msg) {
       reply.degraded = true;
       reply.hops = msg.hops;
       reply.payload_bytes = res.object_bytes;
-      const auto version = versions_.find(reply.object);
-      reply.version = version == versions_.end() ? 0 : version->second;
+      reply.version = version_of(reply.object);
       stats_.payload_bytes_served += reply.payload_bytes;
       // The reconstructed object is as good as a fetched one: admit it so
       // subsequent requests hit locally instead of re-reconstructing.
@@ -224,11 +231,10 @@ void HashingProxy::handle_chunk_reply(Transport& net, const Message& msg) {
 }
 
 void HashingProxy::receive_reply(Transport& net, const Message& msg) {
-  const auto it = pending_.find(msg.request_id);
-  if (it != pending_.end()) {
+  const auto slot = pending_.find(msg.request_id);
+  if (slot != pending_.kNil) {
     // Origin answered our fetch: cache as owner, then route.
-    const Route route = it->second;
-    pending_.erase(it);
+    const Route route = pending_.erase(slot);
     stats_.payload_bytes_fetched += msg.payload_bytes;
     admit(msg.object, msg.version);
     if (erasure_ != nullptr) erasure_->stripe_object(net, msg.object);

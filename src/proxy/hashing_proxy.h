@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/policies.h"
@@ -33,6 +32,7 @@
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
 #include "store/payload.h"
+#include "util/keyed_list.h"
 #include "util/types.h"
 
 namespace adc::proxy {
@@ -182,13 +182,26 @@ class HashingProxy final : public sim::Node {
   /// Owner-side state for in-flight origin fetches: where the reply must
   /// be routed once the origin answers.
   struct Route {
+    RequestId request = 0;
     NodeId client = kInvalidNode;
     NodeId entry = kInvalidNode;  // kInvalidNode when we were the entry
+    std::uint64_t key() const noexcept { return request; }
   };
-  std::unordered_map<RequestId, Route> pending_;
+  util::KeyedList<Route> pending_;
 
   /// Data versions of cached objects (staleness accounting).
-  std::unordered_map<ObjectId, std::uint64_t> versions_;
+  struct Version {
+    ObjectId object = 0;
+    std::uint64_t version = 0;
+    std::uint64_t key() const noexcept { return object; }
+  };
+  util::KeyedList<Version> versions_;
+  std::uint64_t version_of(ObjectId object) const {
+    const auto slot = versions_.find(object);
+    return slot == versions_.kNil ? 0 : versions_[slot].version;
+  }
+
+  std::vector<ObjectId> evicted_;  // admit()'s reused eviction list
 
   std::uint64_t size_of(ObjectId object) const {
     return store_ == nullptr ? 0 : store_->size_of(object);

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "server/daemon.h"
+#include "store/rdp_coding.h"
 #include "util/cli.h"
 
 namespace {
@@ -115,7 +116,15 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(options.get_int("payload-budget", 0));
     if (options.get_int("erasure", 0) != 0) {
       config.payload.erasure.enabled = true;
-      config.payload.erasure.data_chunks = static_cast<int>(options.get_int("erasure-k", 3));
+      // Checked here, not by an assert: release builds must refuse a stripe
+      // the erasure tier would otherwise silently clamp.
+      const auto k = options.get_int("erasure-k", 3);
+      if (k < store::RdpCode::kMinDataChunks || k > store::RdpCode::kMaxDataChunks) {
+        std::cerr << "--erasure-k must be in [" << store::RdpCode::kMinDataChunks << ", "
+                  << store::RdpCode::kMaxDataChunks << "], got " << k << '\n';
+        return 1;
+      }
+      config.payload.erasure.data_chunks = static_cast<int>(k);
       config.payload.erasure.directory_budget =
           static_cast<std::uint64_t>(options.get_int("erasure-dir-budget", 0));
       config.payload.erasure.restripe = options.get_int("restripe", 0) != 0;

@@ -1,7 +1,6 @@
 #include "store/erasure_tier.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/rng.h"
 
@@ -37,77 +36,107 @@ ErasureTier::ErasureTier(NodeId self, PayloadStorePtr store, std::vector<NodeId>
       repair_(store_->config().erasure.repair_bytes_per_round,
               store_->config().erasure.repair_max_attempts) {
   std::sort(members_.begin(), members_.end());
+  dead_.assign(members_.size(), 0);
   enabled_ = store_->config().erasure.enabled &&
              static_cast<int>(members_.size()) >= stripe_width();
   restripe_enabled_ = enabled_ && store_->config().erasure.restripe;
 }
 
-std::vector<NodeId> ErasureTier::stripe_peers(ObjectId object) const {
-  if (!enabled_) return {};
-  const std::size_t width = static_cast<std::size_t>(stripe_width());
-  std::vector<std::pair<std::uint64_t, NodeId>> scored;
-  scored.reserve(members_.size());
-  for (const NodeId m : members_) {
-    scored.emplace_back(stripe_score(object, m, store_->config().seed), m);
-  }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  std::vector<NodeId> peers;
-  peers.reserve(width);
-  for (std::size_t i = 0; i < width; ++i) peers.push_back(scored[i].second);
-  return peers;
+std::uint32_t ErasureTier::position_of(NodeId node) const noexcept {
+  const auto it = std::lower_bound(members_.begin(), members_.end(), node);
+  if (it == members_.end() || *it != node) return kNoMember;
+  return static_cast<std::uint32_t>(it - members_.begin());
 }
 
-std::vector<NodeId> ErasureTier::effective_owners(ObjectId object) const {
-  std::vector<NodeId> owners = stripe_peers(object);
-  if (owners.empty() || dead_.empty()) return owners;
-  const std::unordered_set<NodeId> in_stripe(owners.begin(), owners.end());
-  std::unordered_set<NodeId> taken;  // replacements already assigned (one chunk per node)
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    if (dead_.count(owners[i]) == 0) continue;
-    NodeId best = kInvalidNode;
+ErasureTier::Stripe ErasureTier::place(ObjectId object) const {
+  Stripe stripe;
+  if (!enabled_) return stripe;
+  const std::uint64_t seed = store_->config().seed;
+  TopScores top(stripe_width());
+  for (std::uint32_t pos = 0; pos < members_.size(); ++pos) {
+    top.offer(stripe_score(object, members_[pos], seed), pos);
+  }
+  stripe.width = top.size();
+  for (int i = 0; i < stripe.width; ++i) stripe.at[i] = top.position(i);
+  return stripe;
+}
+
+ErasureTier::Stripe ErasureTier::current_owners(ObjectId object, const Stripe& stripe) const {
+  Stripe owners = stripe;
+  if (dead_count_ == 0) return owners;
+  const auto in_stripe = [&stripe](std::uint32_t pos) {
+    for (int i = 0; i < stripe.width; ++i) {
+      if (stripe.at[i] == pos) return true;
+    }
+    return false;
+  };
+  std::array<std::uint32_t, kMaxStripeWidth> taken{};  // one chunk per replacement
+  int taken_count = 0;
+  const auto is_taken = [&taken, &taken_count](std::uint32_t pos) {
+    for (int t = 0; t < taken_count; ++t) {
+      if (taken[t] == pos) return true;
+    }
+    return false;
+  };
+  const std::uint64_t seed = store_->config().seed;
+  for (int i = 0; i < stripe.width; ++i) {
+    if (dead_[stripe.at[i]] == 0) continue;
+    std::uint32_t best = kNoMember;
     std::uint64_t best_score = 0;
-    for (const NodeId m : members_) {
-      if (in_stripe.count(m) != 0 || dead_.count(m) != 0 || taken.count(m) != 0) continue;
-      const std::uint64_t score =
-          replacement_score(object, static_cast<int>(i), m, store_->config().seed);
+    for (std::uint32_t pos = 0; pos < members_.size(); ++pos) {
+      if (dead_[pos] != 0 || in_stripe(pos) || is_taken(pos)) continue;
+      const std::uint64_t score = replacement_score(object, i, members_[pos], seed);
       // members_ is sorted ascending, so the first holder of the max score
       // is also the smallest id — ties break deterministically for free.
-      if (best == kInvalidNode || score > best_score) {
-        best = m;
+      if (best == kNoMember || score > best_score) {
+        best = pos;
         best_score = score;
       }
     }
-    owners[i] = best;
-    if (best != kInvalidNode) taken.insert(best);
+    owners.at[i] = best;
+    if (best != kNoMember) taken[taken_count++] = best;
   }
   return owners;
 }
 
+std::vector<NodeId> ErasureTier::stripe_peers(ObjectId object) const {
+  const Stripe stripe = place(object);
+  std::vector<NodeId> peers(static_cast<std::size_t>(stripe.width));
+  for (int i = 0; i < stripe.width; ++i) peers[i] = members_[stripe.at[i]];
+  return peers;
+}
+
+std::vector<NodeId> ErasureTier::effective_owners(ObjectId object) const {
+  const Stripe owners = current_owners(object, place(object));
+  std::vector<NodeId> out(static_cast<std::size_t>(owners.width));
+  for (int i = 0; i < owners.width; ++i) out[i] = node_at(owners.at[i]);
+  return out;
+}
+
 void ErasureTier::stripe_object(sim::Transport& net, ObjectId object) {
-  if (!enabled_ || striped_.count(object) != 0) return;
-  const std::vector<NodeId> peers = stripe_peers(object);
-  if (peers.empty()) return;
-  striped_.insert(object);
+  if (!enabled_ || striped_.contains(object)) return;
+  const Stripe peers = place(object);
+  if (peers.width == 0) return;
+  striped_.assign(object, 0);
   ++stats_.stripes_registered;
   // With repair on and deaths believed, dead owners' chunks go straight to
   // their replacements: stripes registered mid-outage are born full-width
   // instead of inheriting the hole.
-  const std::vector<NodeId> owners =
-      (restripe_enabled_ && !dead_.empty()) ? effective_owners(object) : peers;
+  const Stripe owners =
+      (restripe_enabled_ && dead_count_ != 0) ? current_owners(object, peers) : peers;
   const std::uint64_t chunk = store_->chunk_size(object);
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    if (owners[i] == kInvalidNode) continue;
-    if (owners[i] == self_) {
-      record_chunk(object, static_cast<int>(i), chunk);
+  for (int i = 0; i < owners.width; ++i) {
+    const NodeId owner = node_at(owners.at[i]);
+    if (owner == kInvalidNode) continue;
+    if (owner == self_) {
+      record_chunk(object, i, chunk);
       continue;
     }
     sim::Message store_msg;
     store_msg.kind = sim::MessageKind::kStripeStore;
     store_msg.object = object;
     store_msg.sender = self_;
-    store_msg.target = owners[i];
+    store_msg.target = owner;
     store_msg.resolver = static_cast<NodeId>(i);  // chunk index
     store_msg.payload_bytes = chunk;
     net.send(store_msg);
@@ -115,38 +144,26 @@ void ErasureTier::stripe_object(sim::Transport& net, ObjectId object) {
 }
 
 bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) {
-  auto it = directory_.find(object);
-  if (it != directory_.end()) {
-    // Re-registration (e.g. a new owner re-striped after churn): refresh.
-    directory_bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru);
-    directory_.erase(it);
-  }
+  // Re-registration (e.g. a new owner re-striped after churn): refresh.
+  drop_chunk(object);
   const std::uint64_t budget = store_->config().erasure.directory_budget;
   if (budget > 0) {
-    while (directory_bytes_ + bytes > budget && !lru_.empty()) {
-      const ObjectId victim = lru_.back();
-      lru_.pop_back();
-      auto vit = directory_.find(victim);
-      directory_bytes_ -= vit->second.bytes;
-      directory_.erase(vit);
+    while (directory_bytes_ + bytes > budget && !directory_.empty()) {
+      directory_bytes_ -= directory_.erase(directory_.back()).bytes;
       ++stats_.chunks_evicted;
     }
     if (directory_bytes_ + bytes > budget) return false;  // bigger than the budget
   }
-  lru_.push_front(object);
-  directory_.emplace(object, DirEntry{index, bytes, lru_.begin()});
+  directory_.push_front(DirEntry{object, bytes, index});
   directory_bytes_ += bytes;
   ++stats_.chunks_stored;
   return true;
 }
 
 void ErasureTier::drop_chunk(ObjectId object) {
-  const auto it = directory_.find(object);
-  if (it == directory_.end()) return;
-  directory_bytes_ -= it->second.bytes;
-  lru_.erase(it->second.lru);
-  directory_.erase(it);
+  const auto slot = directory_.find(object);
+  if (slot == directory_.kNil) return;
+  directory_bytes_ -= directory_.erase(slot).bytes;
 }
 
 void ErasureTier::on_stripe_store(const sim::Message& msg) {
@@ -164,18 +181,18 @@ void ErasureTier::on_chunk_request(sim::Transport& net, const sim::Message& msg)
   reply.client = msg.client;
   reply.hops = msg.hops;
   reply.resolver = msg.resolver;  // chunk index echoed back
-  const auto it = enabled_ ? directory_.find(msg.object) : directory_.end();
+  const auto slot = enabled_ ? directory_.find(msg.object) : directory_.kNil;
   // The entry must cover the *requested* index: once repair re-homes
   // chunks, a node can hold a different chunk of the object than the one
   // the reader expects, and claiming it would corrupt the recovery count.
   // (Without repair the held index always matches the requested one.)
-  if (it != directory_.end() && it->second.index == static_cast<int>(msg.resolver)) {
+  if (slot != directory_.kNil && directory_[slot].index == static_cast<int>(msg.resolver)) {
     // Touch the LRU: a chunk consulted by a recovery is worth keeping.
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    directory_.move_to_front(slot);
     reply.cached = true;
-    reply.payload_bytes = it->second.bytes;
+    reply.payload_bytes = directory_[slot].bytes;
     ++stats_.chunk_replies_served;
-    stats_.chunk_bytes_sent += it->second.bytes;
+    stats_.chunk_bytes_sent += directory_[slot].bytes;
   } else {
     reply.cached = false;
     ++stats_.chunk_replies_missing;
@@ -184,34 +201,36 @@ void ErasureTier::on_chunk_request(sim::Transport& net, const sim::Message& msg)
 }
 
 bool ErasureTier::begin_recovery(sim::Transport& net, const sim::Message& msg) {
-  if (!enabled_ || recoveries_.count(msg.request_id) != 0) return false;
-  const std::vector<NodeId> peers = stripe_peers(msg.object);
-  if (peers.empty()) return false;
+  if (!enabled_ || recoveries_.contains(msg.request_id)) return false;
+  const Stripe peers = place(msg.object);
+  if (peers.width == 0) return false;
   // With repair on, read from the healed layout: replacements answer for
   // the indices they adopted, so a stripe that lost two original members
   // but was re-homed in between still yields k chunks.
-  const std::vector<NodeId> owners = restripe_enabled_ ? effective_owners(msg.object) : peers;
+  const Stripe owners = restripe_enabled_ ? current_owners(msg.object, peers) : peers;
 
   Recovery rec;
   rec.request = msg;
   struct Candidate {
-    std::size_t index;  // chunk index the peer holds
+    int index;  // chunk index the peer holds
     NodeId peer;
-    std::uint64_t load = 0;
+    std::uint64_t load;
   };
-  std::vector<Candidate> ask;
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    if (owners[i] == kInvalidNode) continue;
-    if (owners[i] == self_) {
-      const auto it = directory_.find(msg.object);
-      if (it != directory_.end() && it->second.index == static_cast<int>(i)) ++rec.have;
+  std::array<Candidate, kMaxStripeWidth> ask{};
+  std::size_t asked = 0;
+  for (int i = 0; i < owners.width; ++i) {
+    const std::uint32_t pos = owners.at[i];
+    if (pos == kNoMember) continue;
+    if (members_[pos] == self_) {
+      const auto slot = directory_.find(msg.object);
+      if (slot != directory_.kNil && directory_[slot].index == i) ++rec.have;
       continue;
     }
-    if (dead_.count(owners[i]) != 0) continue;
-    ask.push_back(Candidate{i, owners[i], 0});
+    if (dead_[pos] != 0) continue;
+    ask[asked++] = Candidate{i, members_[pos], 0};
   }
   const int k = store_->code().k();
-  if (rec.have + static_cast<int>(ask.size()) < k) return false;
+  if (rec.have + static_cast<int>(asked) < k) return false;
 
   // Placement is deterministic, recovery is free: with a load probe the
   // tier asks only the k - have lightest-loaded survivors plus one spare
@@ -219,40 +238,48 @@ bool ErasureTier::begin_recovery(sim::Transport& net, const sim::Message& msg) {
   // Without a probe it asks all survivors — the original behaviour,
   // bit for bit.
   if (load_probe_) {
-    for (Candidate& c : ask) c.load = load_probe_(c.peer);
-    std::stable_sort(ask.begin(), ask.end(), [](const Candidate& a, const Candidate& b) {
-      return a.load != b.load ? a.load < b.load : a.peer < b.peer;
-    });
+    for (std::size_t c = 0; c < asked; ++c) ask[c].load = load_probe_(ask[c].peer);
+    // Stable insertion sort by (load, peer): at most a stripe's worth.
+    for (std::size_t c = 1; c < asked; ++c) {
+      const Candidate cand = ask[c];
+      std::size_t j = c;
+      for (; j > 0 && (ask[j - 1].load != cand.load ? ask[j - 1].load > cand.load
+                                                    : ask[j - 1].peer > cand.peer);
+           --j) {
+        ask[j] = ask[j - 1];
+      }
+      ask[j] = cand;
+    }
     const auto want = static_cast<std::size_t>(k - rec.have) + 1;
-    if (ask.size() > want) {
-      stats_.chunk_requests_skipped += ask.size() - want;
-      ask.resize(want);
+    if (asked > want) {
+      stats_.chunk_requests_skipped += asked - want;
+      asked = want;
     }
   }
 
-  for (const Candidate& c : ask) {
+  for (std::size_t c = 0; c < asked; ++c) {
     sim::Message req;
     req.kind = sim::MessageKind::kChunkRequest;
     req.request_id = msg.request_id;
     req.object = msg.object;
     req.sender = self_;
-    req.target = c.peer;
+    req.target = ask[c].peer;
     req.client = msg.client;
     req.hops = msg.hops;
-    req.resolver = static_cast<NodeId>(c.index);  // chunk index held by that peer
+    req.resolver = static_cast<NodeId>(ask[c].index);  // chunk index held by that peer
     net.send(req);
     ++rec.outstanding;
     ++stats_.chunk_requests_sent;
   }
   ++stats_.degraded_started;
-  recoveries_.emplace(msg.request_id, std::move(rec));
+  recoveries_.push_back(rec);
   return true;
 }
 
 ErasureTier::Resolution ErasureTier::on_chunk_reply(const sim::Message& msg) {
-  const auto it = recoveries_.find(msg.request_id);
-  if (it == recoveries_.end()) return {};
-  Recovery& rec = it->second;
+  const auto slot = recoveries_.find(msg.request_id);
+  if (slot == recoveries_.kNil) return {};
+  Recovery& rec = recoveries_[slot];
   --rec.outstanding;
   if (msg.cached) ++rec.have;
 
@@ -260,19 +287,17 @@ ErasureTier::Resolution ErasureTier::on_chunk_reply(const sim::Message& msg) {
   if (rec.have >= k) {
     Resolution out;
     out.outcome = Outcome::kRecovered;
-    out.request = rec.request;
+    out.request = recoveries_.erase(slot).request;
     out.object_bytes = store_->size_of(msg.object);
     ++stats_.degraded_recovered;
     stats_.recovered_bytes += out.object_bytes;
-    recoveries_.erase(it);
     return out;
   }
   if (rec.have + rec.outstanding < k) {
     Resolution out;
     out.outcome = Outcome::kFailed;
-    out.request = rec.request;
+    out.request = recoveries_.erase(slot).request;
     ++stats_.degraded_failed;
-    recoveries_.erase(it);
     return out;
   }
   Resolution out;
@@ -281,30 +306,29 @@ ErasureTier::Resolution ErasureTier::on_chunk_reply(const sim::Message& msg) {
 }
 
 void ErasureTier::enqueue_repair_for(ObjectId object) {
-  const std::vector<NodeId> peers = stripe_peers(object);
-  if (peers.empty()) return;
+  const Stripe peers = place(object);
   // The repair leader is the first *alive* member of the original stripe
   // in chunk-index order — every survivor computes the same leader from
   // its own believed dead set, so exactly one node drives each stripe's
   // repair (modulo transient disagreement, which idempotent offers absorb).
   NodeId leader = kInvalidNode;
-  for (const NodeId p : peers) {
-    if (dead_.count(p) == 0) {
-      leader = p;
+  for (int i = 0; i < peers.width; ++i) {
+    if (dead_[peers.at[i]] == 0) {
+      leader = members_[peers.at[i]];
       break;
     }
   }
   if (leader != self_) return;
-  const std::vector<NodeId> owners = effective_owners(object);
+  const Stripe owners = current_owners(object, peers);
   const std::uint64_t chunk = store_->chunk_size(object);
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    if (dead_.count(peers[i]) == 0) continue;  // original owner still alive
-    if (owners[i] == kInvalidNode) continue;   // no eligible replacement
+  for (int i = 0; i < peers.width; ++i) {
+    if (dead_[peers.at[i]] == 0) continue;      // original owner still alive
+    if (owners.at[i] == kNoMember) continue;    // no eligible replacement
     RepairItem item;
     item.object = object;
-    item.index = static_cast<int>(i);
-    item.target = owners[i];
-    item.dead_owner = peers[i];
+    item.index = i;
+    item.target = members_[owners.at[i]];
+    item.dead_owner = members_[peers.at[i]];
     item.bytes = chunk;
     repair_.enqueue(item);
   }
@@ -348,8 +372,8 @@ void ErasureTier::on_restripe_ack(const sim::Message& msg) {
   if (item.hand_back) {
     // The original owner holds its chunk again; drop the foster copy
     // (unless the slot was since reused for a different index).
-    const auto it = directory_.find(msg.object);
-    if (it != directory_.end() && it->second.index == item.index) drop_chunk(msg.object);
+    const auto slot = directory_.find(msg.object);
+    if (slot != directory_.kNil && directory_[slot].index == item.index) drop_chunk(msg.object);
     ++stats_.restripe_handbacks;
   } else {
     ++stats_.stripes_healed;
@@ -357,18 +381,29 @@ void ErasureTier::on_restripe_ack(const sim::Message& msg) {
 }
 
 void ErasureTier::handle_peer_dead(NodeId peer) {
-  dead_.insert(peer);
+  const std::uint32_t pos = position_of(peer);
+  if (pos == kNoMember) return;
+  if (dead_[pos] == 0) {
+    dead_[pos] = 1;
+    ++dead_count_;
+  }
   if (!restripe_enabled_) return;
-  // Prospective-leader scan over the local directory, in LRU order (a
-  // std::list, so the scan — and therefore the repair queue — is
-  // deterministic).  Every dead-owned index of every held object is
-  // (re-)enqueued: a second death that reassigns replacements simply
-  // retargets the queued item.
-  for (const ObjectId object : lru_) enqueue_repair_for(object);
+  // Prospective-leader scan over the local directory, in LRU order (so the
+  // scan — and therefore the repair queue — is deterministic).  Every
+  // dead-owned index of every held object is (re-)enqueued: a second death
+  // that reassigns replacements simply retargets the queued item.
+  for (auto slot = directory_.front(); slot != directory_.kNil; slot = directory_.next(slot)) {
+    enqueue_repair_for(directory_[slot].object);
+  }
 }
 
 void ErasureTier::handle_peer_joined(NodeId peer) {
-  dead_.erase(peer);
+  const std::uint32_t pos = position_of(peer);
+  if (pos == kNoMember) return;
+  if (dead_[pos] != 0) {
+    dead_[pos] = 0;
+    --dead_count_;
+  }
   if (!restripe_enabled_) return;
   // Repair work created by this peer's death is moot — it holds its
   // chunks again (its directory survived, only our belief changed).
@@ -376,27 +411,18 @@ void ErasureTier::handle_peer_joined(NodeId peer) {
   // Hand adopted chunks back: any directory entry whose index belongs to
   // the rejoiner in the *original* stripe is a foster copy we took on its
   // behalf — offer it back and drop ours once the owner acks.
-  for (const ObjectId object : lru_) {
-    const auto it = directory_.find(object);
-    const int idx = it->second.index;
-    const std::vector<NodeId> peers = stripe_peers(object);
-    if (idx < 0 || static_cast<std::size_t>(idx) >= peers.size()) continue;
-    if (peers[static_cast<std::size_t>(idx)] != peer) continue;
+  for (auto slot = directory_.front(); slot != directory_.kNil; slot = directory_.next(slot)) {
+    const DirEntry& entry = directory_[slot];
+    const Stripe peers = place(entry.object);
+    if (entry.index < 0 || entry.index >= peers.width) continue;
+    if (peers.at[entry.index] != pos) continue;
     RepairItem item;
-    item.object = object;
-    item.index = idx;
+    item.object = entry.object;
+    item.index = entry.index;
     item.target = peer;
-    item.bytes = it->second.bytes;
+    item.bytes = entry.bytes;
     item.hand_back = true;
     repair_.enqueue(item);
-  }
-}
-
-void ErasureTier::for_each_chunk(
-    const std::function<void(ObjectId, int, std::uint64_t)>& fn) const {
-  for (const ObjectId object : lru_) {
-    const auto it = directory_.find(object);
-    fn(object, it->second.index, it->second.bytes);
   }
 }
 

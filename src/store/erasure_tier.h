@@ -30,20 +30,56 @@
 // bit-identical to the repair-free build.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/message.h"
 #include "sim/transport.h"
 #include "store/payload.h"
+#include "store/rdp_coding.h"
 #include "store/restripe.h"
+#include "util/flat_index.h"
+#include "util/keyed_list.h"
 #include "util/types.h"
 
 namespace adc::store {
+
+/// Widest stripe any tier places: k + 2 chunks with k at RdpCode's cap.
+inline constexpr int kMaxStripeWidth = RdpCode::kMaxDataChunks + 2;
+
+/// Stripe placement's selection step: keeps the `width` highest-scoring
+/// candidates in a fixed array, highest first.  Candidates must be offered
+/// in ascending position order; equal scores keep offer order, so the
+/// result is exactly the first `width` entries of a sort by (score
+/// descending, position ascending) — the rendezvous tie-break to the
+/// smaller member id — without sorting or allocating.
+class TopScores {
+ public:
+  /// `width` in [1, kMaxStripeWidth].
+  explicit TopScores(int width) noexcept : width_(width) {}
+
+  void offer(std::uint64_t score, std::uint32_t position) noexcept {
+    if (size_ == width_ && score <= score_[size_ - 1]) return;
+    int i = size_ < width_ ? size_++ : size_ - 1;
+    for (; i > 0 && score_[i - 1] < score; --i) {
+      score_[i] = score_[i - 1];
+      position_[i] = position_[i - 1];
+    }
+    score_[i] = score;
+    position_[i] = position;
+  }
+
+  int size() const noexcept { return size_; }
+  std::uint32_t position(int rank) const noexcept { return position_[rank]; }
+
+ private:
+  int width_;
+  int size_ = 0;
+  std::array<std::uint64_t, kMaxStripeWidth> score_;
+  std::array<std::uint32_t, kMaxStripeWidth> position_;
+};
 
 struct ErasureStats {
   std::uint64_t stripes_registered = 0;  // origin fetches striped by this node
@@ -80,7 +116,7 @@ class ErasureTier {
 
   /// True once any member has been reported dead and not rejoined —
   /// the gate that keeps healthy runs free of recovery traffic.
-  bool has_dead_peer() const noexcept { return !dead_.empty(); }
+  bool has_dead_peer() const noexcept { return dead_count_ != 0; }
 
   /// The k+2 stripe peers of `object` in chunk-index order (rendezvous
   /// over the startup membership).  Empty when the membership is smaller
@@ -145,7 +181,8 @@ class ErasureTier {
 
   /// Membership hooks (same events the proxies receive).  Recoveries
   /// in flight toward a peer that dies unconfirmed resolve via the
-  /// client's request timeout, like any other lost message.  With repair
+  /// client's request timeout, like any other lost message.  Peers outside
+  /// the stripe universe hold no chunks and are ignored.  With repair
   /// enabled, a death makes this node scan its directory as prospective
   /// repair leader, and a rejoin cancels mooted work and queues hand-back
   /// offers for chunks adopted on the rejoiner's behalf.
@@ -173,21 +210,54 @@ class ErasureTier {
   void on_restripe_ack(const sim::Message& msg);
 
   /// Directory introspection for tests and result collection.
-  bool holds_chunk(ObjectId object) const { return directory_.count(object) != 0; }
+  bool holds_chunk(ObjectId object) const { return directory_.contains(object); }
   std::uint64_t directory_bytes() const noexcept { return directory_bytes_; }
   std::size_t directory_entries() const noexcept { return directory_.size(); }
 
-  /// Visits every directory entry as (object, chunk index, bytes) — the
-  /// driver's post-run stripe census walks these across all proxies.
-  void for_each_chunk(
-      const std::function<void(ObjectId, int, std::uint64_t)>& fn) const;
+  /// Visits every directory entry as (object, chunk index, bytes), most
+  /// recently used first — the driver's post-run stripe census walks these
+  /// across all proxies.
+  template <typename Fn>
+  void for_each_chunk(Fn&& fn) const {
+    directory_.for_each(
+        [&fn](const DirEntry& entry) { fn(entry.object, entry.index, entry.bytes); });
+  }
 
  private:
   struct Recovery {
     sim::Message request;
     int have = 0;         // chunks confirmed (local + replied)
     int outstanding = 0;  // chunk requests not yet answered
+    std::uint64_t key() const noexcept { return request.request_id; }
   };
+
+  struct DirEntry {
+    ObjectId object;
+    std::uint64_t bytes;
+    int index;
+    std::uint64_t key() const noexcept { return object; }
+  };
+
+  /// Marks "no member": an index with no eligible replacement owner.
+  static constexpr std::uint32_t kNoMember = UINT32_MAX;
+
+  /// One object's stripe as positions into members_, chunk-index order.
+  /// Lives on the stack: placement and owner scans never allocate.
+  struct Stripe {
+    int width = 0;  // 0 while the tier is disabled
+    std::array<std::uint32_t, kMaxStripeWidth> at{};
+  };
+
+  /// The original placement (top stripe_width() rendezvous scores).
+  Stripe place(ObjectId object) const;
+  /// The placement with every dead owner replaced per effective_owners.
+  Stripe current_owners(ObjectId object, const Stripe& stripe) const;
+
+  NodeId node_at(std::uint32_t position) const noexcept {
+    return position == kNoMember ? kInvalidNode : members_[position];
+  }
+  /// Position of `node` in members_, or kNoMember.
+  std::uint32_t position_of(NodeId node) const noexcept;
 
   bool record_chunk(ObjectId object, int index, std::uint64_t bytes);
   void drop_chunk(ObjectId object);
@@ -205,20 +275,15 @@ class ErasureTier {
   bool restripe_enabled_;
   LoadProbe load_probe_;
 
-  std::unordered_set<NodeId> dead_;
-  std::unordered_set<ObjectId> striped_;  // stripes this node registered
+  std::vector<std::uint8_t> dead_;  // believed dead, per members_ position
+  std::size_t dead_count_ = 0;
+  util::FlatIndex striped_;  // stripes this node registered (object -> 0)
 
-  // Chunk directory with LRU byte budget: list front = most recent.
-  struct DirEntry {
-    int index;
-    std::uint64_t bytes;
-    std::list<ObjectId>::iterator lru;
-  };
-  std::unordered_map<ObjectId, DirEntry> directory_;
-  std::list<ObjectId> lru_;
+  // Chunk directory with LRU byte budget: front = most recent.
+  util::KeyedList<DirEntry> directory_;
   std::uint64_t directory_bytes_ = 0;
 
-  std::unordered_map<RequestId, Recovery> recoveries_;
+  util::KeyedList<Recovery> recoveries_;  // by request id
   ErasureStats stats_;
 };
 

@@ -51,12 +51,12 @@ void fill_pattern(std::uint64_t key, std::uint64_t from, std::uint8_t* out, std:
 
 PayloadStore::PayloadStore(const PayloadConfig& config)
     : config_(config), code_(config.erasure.data_chunks) {
-  config_.erasure.data_chunks = code_.k();  // reflect the >= 2 clamp
+  config_.erasure.data_chunks = code_.k();  // reflect the [2, 62] clamp
   if (config_.min_bytes == 0) config_.min_bytes = 1;
   if (config_.max_bytes < config_.min_bytes) config_.max_bytes = config_.min_bytes;
 }
 
-std::uint64_t PayloadStore::compute_size(ObjectId object) const {
+std::uint64_t PayloadStore::size_of(ObjectId object) const {
   // Three independent draws from a stream keyed by (object, seed); no
   // shared RNG is touched, so the store never perturbs protocol choices.
   std::uint64_t state = config_.seed ^ (object * kGolden);
@@ -80,14 +80,6 @@ std::uint64_t PayloadStore::compute_size(ObjectId object) const {
   const double clamped = std::min(static_cast<double>(config_.max_bytes),
                                   std::max(static_cast<double>(config_.min_bytes), size));
   return static_cast<std::uint64_t>(clamped);
-}
-
-std::uint64_t PayloadStore::size_of(ObjectId object) const {
-  const auto it = size_memo_.find(object);
-  if (it != size_memo_.end()) return it->second;
-  const std::uint64_t size = compute_size(object);
-  size_memo_.emplace(object, size);
-  return size;
 }
 
 std::uint64_t PayloadStore::chunk_size(ObjectId object) const {

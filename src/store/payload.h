@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "store/rdp_coding.h"
@@ -33,9 +32,11 @@ struct ErasureConfig {
   bool enabled = false;
 
   /// Data chunks per stripe (RDP's k); the stripe spans k + 2 peers (k data
-  /// chunks plus row and diagonal parity).  Clamped to >= 2: a one-chunk
-  /// stripe would let a proxy answer a degraded read from its own chunk,
-  /// which is just replication.
+  /// chunks plus row and diagonal parity).  Clamped to [2, 62]
+  /// (RdpCode::kMinDataChunks/kMaxDataChunks): a one-chunk stripe would let
+  /// a proxy answer a degraded read from its own chunk, which is just
+  /// replication, and a stripe wider than 64 chunks overflows the
+  /// chunk-index masks of the stripe census.
   int data_chunks = 3;
 
   /// Byte budget for the per-proxy chunk directory; oldest chunks are
@@ -98,8 +99,8 @@ struct PayloadConfig {
 inline constexpr std::size_t kMaxBodySample = 256;
 
 /// Derives sizes, patterns, chunks and checksums for the payload universe.
-/// Pure per (object, seed); memoizes sizes.  NOT thread-safe — each
-/// Simulator run and each daemon owns its own instance.
+/// Every query is a pure function of (object, seed) over immutable state,
+/// so one instance may be shared and queried from any number of threads.
 class PayloadStore {
  public:
   explicit PayloadStore(const PayloadConfig& config);
@@ -150,11 +151,8 @@ class PayloadStore {
                                 std::size_t max_len) const;
 
  private:
-  std::uint64_t compute_size(ObjectId object) const;
-
   PayloadConfig config_;
   RdpCode code_;
-  mutable std::unordered_map<ObjectId, std::uint64_t> size_memo_;
 };
 
 using PayloadStorePtr = std::shared_ptr<const PayloadStore>;

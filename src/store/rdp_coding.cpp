@@ -26,7 +26,8 @@ void xor_into(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
 }  // namespace
 
 RdpCode::RdpCode(int data_chunks)
-    : k_(std::max(2, data_chunks)), p_(next_prime_at_least(k_ + 1)) {}
+    : k_(std::clamp(data_chunks, kMinDataChunks, kMaxDataChunks)),
+      p_(next_prime_at_least(k_ + 1)) {}
 
 std::size_t RdpCode::padded_chunk_size(std::size_t raw_chunk_size) const noexcept {
   const std::size_t rows = static_cast<std::size_t>(p_ - 1);

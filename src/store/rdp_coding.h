@@ -29,8 +29,14 @@ namespace adc::store {
 
 class RdpCode {
  public:
-  /// `data_chunks` = k (clamped to >= 2); p becomes the smallest prime
-  /// >= k + 1.
+  /// Bounds on k.  Below 2 a stripe degenerates to replication; above 62
+  /// the stripe (k + 2 chunks) no longer fits the 64-bit chunk-index masks
+  /// and the fixed stripe arrays the erasure tier places with.
+  static constexpr int kMinDataChunks = 2;
+  static constexpr int kMaxDataChunks = 62;
+
+  /// `data_chunks` = k (clamped to [kMinDataChunks, kMaxDataChunks]); p
+  /// becomes the smallest prime >= k + 1.
   explicit RdpCode(int data_chunks);
 
   int k() const noexcept { return k_; }

@@ -3,30 +3,28 @@
 namespace adc::store {
 
 void RestripePlanner::enqueue(const RepairItem& item) {
-  const std::uint64_t k = key(item.object, item.index);
-  const auto it = by_key_.find(k);
-  if (it != by_key_.end()) {
+  const auto slot = queue_.find(item.key());
+  if (slot != queue_.kNil) {
     // Already queued: refresh the target (a later death may have moved
     // the replacement) but keep the queue position and attempt count.
-    it->second->target = item.target;
-    it->second->dead_owner = item.dead_owner;
-    it->second->hand_back = item.hand_back;
+    RepairItem& queued = queue_[slot];
+    queued.target = item.target;
+    queued.dead_owner = item.dead_owner;
+    queued.hand_back = item.hand_back;
     return;
   }
   queue_.push_back(item);
-  by_key_.emplace(k, std::prev(queue_.end()));
   ++stats_.items_enqueued;
 }
 
 void RestripePlanner::cancel_for_dead_owner(NodeId dead_owner) {
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->dead_owner == dead_owner) {
-      by_key_.erase(key(it->object, it->index));
-      it = queue_.erase(it);
+  for (auto slot = queue_.front(); slot != queue_.kNil;) {
+    const auto next = queue_.next(slot);
+    if (queue_[slot].dead_owner == dead_owner) {
+      queue_.erase(slot);
       ++stats_.items_cancelled;
-    } else {
-      ++it;
     }
+    slot = next;
   }
 }
 
@@ -37,23 +35,23 @@ std::uint64_t RestripePlanner::next_round(const std::function<void(const RepairI
   // cycle to the back and must not be re-visited within one round.
   std::size_t budget_items = queue_.size();
   while (budget_items-- > 0 && !queue_.empty()) {
-    auto it = queue_.begin();
-    if (bytes_per_round_ > 0 && sent > 0 && sent_bytes + it->bytes > bytes_per_round_) break;
-    if (it->attempts >= max_attempts_) {
-      by_key_.erase(key(it->object, it->index));
-      queue_.erase(it);
+    const auto slot = queue_.front();
+    RepairItem& item = queue_[slot];
+    if (bytes_per_round_ > 0 && sent > 0 && sent_bytes + item.bytes > bytes_per_round_) break;
+    if (item.attempts >= max_attempts_) {
+      queue_.erase(slot);
       ++stats_.items_abandoned;
       ++budget_items;  // abandoning costs no budget; keep scanning
       continue;
     }
-    if (it->attempts > 0) ++stats_.retries;
-    ++it->attempts;
-    sent_bytes += it->bytes;
+    if (item.attempts > 0) ++stats_.retries;
+    ++item.attempts;
+    sent_bytes += item.bytes;
     ++sent;
     ++stats_.offers_sent;
-    stats_.repair_bytes += it->bytes;
-    offer(*it);
-    queue_.splice(queue_.end(), queue_, it);  // await the ack at the back
+    stats_.repair_bytes += item.bytes;
+    offer(item);
+    queue_.move_to_back(slot);  // await the ack at the back
   }
   if (sent > 0) {
     ++stats_.rounds;
@@ -63,11 +61,10 @@ std::uint64_t RestripePlanner::next_round(const std::function<void(const RepairI
 }
 
 bool RestripePlanner::acked(ObjectId object, int index, RepairItem* out) {
-  const auto it = by_key_.find(key(object, index));
-  if (it == by_key_.end()) return false;
-  if (out != nullptr) *out = *it->second;
-  queue_.erase(it->second);
-  by_key_.erase(it);
+  const auto slot = queue_.find(RepairItem::key_of(object, index));
+  if (slot == queue_.kNil) return false;
+  const RepairItem item = queue_.erase(slot);
+  if (out != nullptr) *out = item;
   return true;
 }
 

@@ -27,9 +27,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
 
+#include "util/keyed_list.h"
 #include "util/types.h"
 
 namespace adc::store {
@@ -57,6 +56,12 @@ struct RepairItem {
   std::uint64_t bytes = 0;
   bool hand_back = false;
   int attempts = 0;
+
+  /// Queue key: one item per (object, chunk index).
+  static std::uint64_t key_of(ObjectId object, int index) noexcept {
+    return object * 131ULL + static_cast<std::uint64_t>(index);
+  }
+  std::uint64_t key() const noexcept { return key_of(object, index); }
 };
 
 /// FIFO repair queue with byte-budgeted rounds and bounded retry.  Items
@@ -91,14 +96,11 @@ class RestripePlanner {
   const RestripeStats& stats() const noexcept { return stats_; }
 
  private:
-  static std::uint64_t key(ObjectId object, int index) noexcept {
-    return object * 131ULL + static_cast<std::uint64_t>(index);
-  }
-
   std::uint64_t bytes_per_round_;
   int max_attempts_;
-  std::list<RepairItem> queue_;  // FIFO, un-acked work; offered items cycle to the back
-  std::unordered_map<std::uint64_t, std::list<RepairItem>::iterator> by_key_;
+  /// FIFO of un-acked work, one item per (object, index); offered items
+  /// cycle to the back.
+  util::KeyedList<RepairItem> queue_;
   RestripeStats stats_;
 };
 

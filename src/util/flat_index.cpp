@@ -12,7 +12,7 @@ FlatIndex::FlatIndex(std::size_t expected) {
 
 void FlatIndex::assign(std::uint64_t key, std::uint32_t slot) {
   assert(slot != kNone);
-  if (2 * (size_ + 1) > buckets_.size()) rehash(2 * buckets_.size());
+  if (4 * (size_ + 1) > 3 * buckets_.size()) rehash(2 * buckets_.size());
   for (std::size_t i = home(key);; i = (i + 1) & mask_) {
     Bucket& b = buckets_[i];
     if (b.slot == kNone) {

@@ -7,9 +7,12 @@
 // {key, slot} pairs inline in one power-of-two bucket array instead:
 // Fibonacci hashing picks the home bucket, linear probing resolves
 // collisions, and erase shifts the following run back (no tombstones), so
-// lookups stay short under any insert/erase churn.  The bucket array grows
-// (doubling) whenever the load would exceed one half; an index sized for
-// its final population up front never allocates again.
+// lookups stay short under any insert/erase churn.  An index sized for its
+// final population up front runs at most half full and never allocates
+// again; one that grows doubles its bucket array whenever the load would
+// exceed three quarters, so a large growing index (an erasure tier's chunk
+// directory holds ~100k keys) stays between 3/8 and 3/4 full: 21-43 bytes
+// per key where a one-half limit would spend 32-64.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +26,7 @@ class FlatIndex {
   /// Marks "no slot": returned by find() for absent keys.
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  /// Reserves room for `expected` keys without growing.
+  /// Reserves room for `expected` keys without growing (at most half full).
   explicit FlatIndex(std::size_t expected = 0);
 
   std::size_t size() const noexcept { return size_; }

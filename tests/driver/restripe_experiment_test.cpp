@@ -163,5 +163,28 @@ TEST(RestripeExperiment, TwoDeathsStayReconstructibleAndRepairRestoresWidth) {
   EXPECT_GT(off.summary.completed, 0u);
 }
 
+TEST(RestripeExperiment, WideStripeCensusSeesEveryChunkIndex) {
+  // The stripe census ORs chunk indexes into 64-bit masks.  A k beyond the
+  // RDP cap is clamped to 62 (a 64-chunk stripe), so a healthy run with
+  // enough proxies tracks every object and strands none; unclamped, every
+  // index past 63 went uncounted and every object read as stranded.
+  workload::PolygraphConfig trace_config;
+  trace_config.fill_requests = 300;
+  trace_config.phase2_requests = 300;
+  trace_config.phase3_requests = 200;
+  trace_config.hot_set_size = 50;
+  trace_config.seed = 3;
+  const auto trace = workload::generate_polygraph_trace(trace_config);
+  ExperimentConfig config = erasure_config(Scheme::kCarp);
+  config.proxies = 70;
+  config.membership.swim.enabled = false;
+  config.payload.erasure.data_chunks = 65;
+  const auto result = run_experiment(config, trace);
+  EXPECT_EQ(result.summary.completed, trace.size());
+  EXPECT_GT(result.store.stripes_registered, 0u);
+  EXPECT_GT(result.store.stripe_objects_tracked, 0u);
+  EXPECT_EQ(result.store.stripes_stranded, 0u);
+}
+
 }  // namespace
 }  // namespace adc::driver

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace adc::store {
@@ -25,6 +26,43 @@ TEST(PayloadStore, SizesAreDeterministicAcrossInstances) {
   for (ObjectId object = 1; object <= 500; ++object) {
     EXPECT_EQ(a.size_of(object), b.size_of(object)) << "object " << object;
   }
+}
+
+TEST(PayloadStore, ConcurrentQueriesOnOneSharedStoreAgree) {
+  // Every query is a pure function of (object, seed) over immutable state,
+  // so threads may share one store (the sanitizer legs check for races).
+  const PayloadStore shared(test_config());
+  const PayloadStore fresh(test_config());
+  constexpr ObjectId kObjects = 4000;
+  std::vector<std::uint64_t> expected(kObjects);
+  for (ObjectId object = 0; object < kObjects; ++object) expected[object] = fresh.size_of(object);
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &fresh, &expected, &mismatches, t] {
+      // Each thread walks the objects from a different start so the same
+      // ids are queried concurrently from several threads.
+      for (ObjectId i = 0; i < kObjects; ++i) {
+        const ObjectId object = (i + static_cast<ObjectId>(t) * 997) % kObjects;
+        if (shared.size_of(object) != expected[object] ||
+            shared.chunk_size(object) != fresh.chunk_size(object)) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+}
+
+TEST(PayloadStore, ConfigReflectsTheDataChunkClamp) {
+  PayloadConfig config = test_config();
+  config.erasure.data_chunks = 200;
+  const PayloadStore wide(config);
+  EXPECT_EQ(wide.code().k(), RdpCode::kMaxDataChunks);
+  EXPECT_EQ(wide.config().erasure.data_chunks, RdpCode::kMaxDataChunks);
+  config.erasure.data_chunks = 1;
+  EXPECT_EQ(PayloadStore(config).config().erasure.data_chunks, RdpCode::kMinDataChunks);
 }
 
 TEST(PayloadStore, SizesRespectTheClamp) {

@@ -43,6 +43,16 @@ TEST(RdpCode, PrimeAndWidthFollowK) {
   EXPECT_EQ(RdpCode(0).k(), 2);
 }
 
+TEST(RdpCode, KIsClampedSoTheStripeFitsSixtyFourChunks) {
+  EXPECT_EQ(RdpCode(62).k(), 62);
+  EXPECT_EQ(RdpCode(62).stripe_width(), 64);
+  EXPECT_EQ(RdpCode(63).k(), RdpCode::kMaxDataChunks);
+  EXPECT_EQ(RdpCode(65).k(), RdpCode::kMaxDataChunks);
+  EXPECT_EQ(RdpCode(1 << 20).stripe_width(), 64);
+  EXPECT_EQ(RdpCode(-5).k(), RdpCode::kMinDataChunks);
+  EXPECT_EQ(RdpCode(62).p(), 67);  // smallest prime >= 63
+}
+
 TEST(RdpCode, PaddedChunkSizeIsBlockMultiple) {
   const RdpCode code(3);  // p = 5, so 4 blocks per chunk
   EXPECT_EQ(code.padded_chunk_size(0) % 4, 0u);

@@ -52,6 +52,10 @@ int main(int argc, char** argv) {
   config.sample_every = config.ma_window;
   config.fault.at_completed = trace.size() * 3 / 5;
   config.fault.proxy_index = static_cast<int>(cli.config().get_int("victim", 2));
+  if (const std::string invalid = config.validate(); !invalid.empty()) {
+    std::cerr << "invalid configuration: " << invalid << '\n';
+    return 1;
+  }
 
   const driver::ExperimentResult result = driver::run_experiment(config, trace);
 

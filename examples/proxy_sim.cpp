@@ -111,6 +111,10 @@ int main(int argc, char** argv) {
   config.fault.proxy_index = static_cast<int>(options.get_int("fault-proxy", 0));
   config.object_update_interval =
       static_cast<SimTime>(options.get_size("update-interval", 0));
+  if (const std::string invalid = config.validate(); !invalid.empty()) {
+    std::cerr << "invalid configuration: " << invalid << '\n';
+    return 1;
+  }
 
   // --- Run ------------------------------------------------------------------
   std::cout << "workload: " << util::with_thousands(trace_stats.requests) << " requests, "

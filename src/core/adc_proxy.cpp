@@ -14,7 +14,7 @@ using sim::Transport;
 
 AdcProxy::AdcProxy(NodeId id, std::string name, const AdcConfig& config,
                    std::vector<NodeId> proxies, NodeId origin)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : ProxyAgent(id, std::move(name)),
       config_(config),
       tables_(config),
       proxies_(std::move(proxies)),
@@ -56,32 +56,48 @@ void AdcProxy::warm_cache(ObjectId object, std::uint64_t version) {
   if (lru_cache_->contains(object)) lru_versions_[object] = version;
 }
 
-std::size_t AdcProxy::invalidate_peer(NodeId peer) {
-  const std::size_t removed = tables_.invalidate_location(peer);
-  stats_.peer_invalidations += removed;
-  return removed;
+void AdcProxy::on_peer_unreachable(NodeId peer) {
+  stats_.peer_invalidations += tables_.invalidate_location(peer);
 }
 
-std::size_t AdcProxy::handle_peer_dead(NodeId peer) {
-  if (peer == id()) return 0;
+void AdcProxy::on_peer_dead(NodeId peer) {
+  if (peer == id()) return;
   if (erasure_ != nullptr) erasure_->handle_peer_dead(peer);
   proxies_.erase(std::remove(proxies_.begin(), proxies_.end(), peer), proxies_.end());
   if (proxies_.empty()) proxies_.push_back(id());
-  return invalidate_peer(peer);
+  on_peer_unreachable(peer);
 }
 
-void AdcProxy::handle_peer_joined(NodeId peer) {
+void AdcProxy::on_peer_joined(NodeId peer) {
   if (erasure_ != nullptr) erasure_->handle_peer_joined(peer);
   const auto pos = std::lower_bound(proxies_.begin(), proxies_.end(), peer);
   if (pos != proxies_.end() && *pos == peer) return;
   proxies_.insert(pos, peer);
 }
 
+sim::ProxySnapshot AdcProxy::snapshot(bool with_contents) const {
+  sim::ProxySnapshot snap;
+  snap.name = name();
+  snap.requests_received = stats_.requests_received;
+  snap.local_hits = stats_.local_hits;
+  snap.cached_objects =
+      config_.selective_caching ? tables_.caching().size() : stats_.cache_admissions;
+  snap.table_entries = tables_.total_entries();
+  snap.payload_bytes_served = stats_.payload_bytes_served;
+  snap.payload_bytes_fetched = stats_.payload_bytes_fetched;
+  snap.entries_invalidated = stats_.peer_invalidations;
+  if (with_contents && config_.selective_caching) {
+    tables_.caching().for_each(
+        [&snap](const cache::TableEntry& entry) { snap.cached_ids.push_back(entry.object); });
+  }
+  return snap;
+}
+
 void AdcProxy::seed_location(ObjectId object, NodeId location, std::uint64_t claim) {
   tables_.update_entry(object, location, local_time_, std::nullopt, claim);
 }
 
-void AdcProxy::send_anti_entropy(sim::Transport& net, NodeId peer, std::size_t batch) {
+void AdcProxy::send_repair(sim::Transport& net, NodeId peer, std::size_t batch) {
   if (peer == id() || batch == 0) return;
   std::size_t sent = 0;
   const auto offer = [this, &net, peer, batch, &sent](const cache::TableEntry& e) {

@@ -10,8 +10,8 @@
 #include "core/adc_config.h"
 #include "core/mapping_tables.h"
 #include "cache/policies.h"
-#include "sim/node.h"
 #include "sim/pending_records.h"
+#include "sim/proxy_agent.h"
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
 #include "store/payload.h"
@@ -48,7 +48,7 @@ struct AdcProxyStats {
   std::uint64_t degraded_reads_served = 0;
 };
 
-class AdcProxy final : public sim::Node {
+class AdcProxy final : public sim::ProxyAgent {
  public:
   /// `proxies` is the full membership (including this proxy's own id) used
   /// for random forwarding; `origin` terminates unresolved searches.
@@ -73,23 +73,23 @@ class AdcProxy final : public sim::Node {
   /// as if the proxy cold-restarted.  In-flight backwarding records are
   /// preserved — connectivity survives, data does not — so outstanding
   /// journeys still complete.
-  void flush();
+  void flush() override;
 
   /// Cache warming: makes this proxy a holder of the object without any
   /// message traffic (so peers learn nothing).
   void warm_cache(ObjectId object, std::uint64_t version = 0);
 
-  /// Peer-death notification: drops every mapping entry that points at
-  /// `peer`, so lookups fall back to random forwarding instead of chasing
-  /// a dead address.  Returns the number of entries removed.
-  std::size_t invalidate_peer(NodeId peer);
+  /// Transport evidence that `peer` is down: drops every mapping entry
+  /// that points at it, so lookups fall back to random forwarding instead
+  /// of chasing a dead address.
+  void on_peer_unreachable(NodeId peer) override;
 
   /// Confirmed membership change (failure detector callbacks).  Death
   /// removes the peer from the random-forwarding membership *and*
   /// invalidates entries naming it; a join reinstates it (sorted order is
   /// preserved so forwarding stays deterministic for a given rng stream).
-  std::size_t handle_peer_dead(NodeId peer);
-  void handle_peer_joined(NodeId peer);
+  void on_peer_dead(NodeId peer) override;
+  void on_peer_joined(NodeId peer) override;
 
   /// Test/operator prefill of a mapping entry (the table analogue of
   /// warm_cache): makes this proxy believe `object` resolves at
@@ -101,7 +101,7 @@ class AdcProxy final : public sim::Node {
   /// kRepairOffer messages.  The receiver adopts strictly fresher claims
   /// and pushes back its own opinion when it holds a strictly fresher one
   /// (one bounce, no further echo — convergence without storms).
-  void send_anti_entropy(sim::Transport& net, NodeId peer, std::size_t batch);
+  void send_repair(sim::Transport& net, NodeId peer, std::size_t batch) override;
 
   /// Attaches the payload store.  ABL-SEL mode swaps its admit-all LRU for
   /// the byte-budgeted size-aware variant (the selective-caching tables
@@ -111,17 +111,11 @@ class AdcProxy final : public sim::Node {
   /// peer death.  Must run before traffic starts.
   void enable_store(const store::StoreContext& ctx);
 
-  const store::ErasureTier* erasure() const noexcept { return erasure_.get(); }
+  store::ErasureTier* erasure_tier() const noexcept override { return erasure_.get(); }
 
-  /// Mutable tier access for the hosts that drive background repair
-  /// rounds (membership hooks, the live daemon).  Null while no tier.
-  store::ErasureTier* erasure_tier() noexcept { return erasure_.get(); }
-
-  /// Wires a link-load oracle into the hosted erasure tier (no-op while no
-  /// tier exists).  Must run after enable_store.
-  void set_erasure_load_probe(store::ErasureTier::LoadProbe probe) {
-    if (erasure_ != nullptr) erasure_->set_load_probe(std::move(probe));
-  }
+  /// Cached objects are the selective-caching table's entries, or every
+  /// admission in the ABL-SEL mode (whose contents are not listed).
+  sim::ProxySnapshot snapshot(bool with_contents) const override;
 
  private:
   void receive_request(sim::Transport& net, const sim::Message& msg);

@@ -12,9 +12,9 @@
 #include "cache/policies.h"
 #include "core/adc_config.h"
 #include "core/adc_proxy.h"
+#include "driver/proxy_factory.h"
 #include "fault/fault_plan.h"
 #include "link/link_model.h"
-#include "membership/member_agent.h"
 #include "proxy/client.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -22,20 +22,6 @@
 #include "workload/trace.h"
 
 namespace adc::driver {
-
-/// Distributed-caching schemes the testbed can run.
-enum class Scheme {
-  kAdc,           // the paper's contribution
-  kCarp,          // the paper's hashing baseline (CARP v1.1)
-  kConsistent,    // consistent-hashing ring baseline
-  kRendezvous,    // rendezvous (HRW) baseline
-  kHierarchical,  // 2-level admit-all hierarchy baseline
-  kCoordinator,   // central-coordinator load balancer (paper Section II.1)
-  kSoap,          // self-organized adaptive proxies (paper Section II.2)
-};
-
-std::string_view scheme_name(Scheme scheme) noexcept;
-std::optional<Scheme> parse_scheme(std::string_view name) noexcept;
 
 struct ExperimentConfig {
   Scheme scheme = Scheme::kAdc;
@@ -149,20 +135,19 @@ struct ExperimentConfig {
   std::uint64_t sample_every = 5000;
 
   sim::LatencyModel latency;
+
+  /// Checks what run_experiment cannot run: no proxies, CARP load factors
+  /// that do not cover every proxy, or a fault (FaultSpec, or a crash
+  /// window that flushes state) aimed at a node that is not a proxy.
+  /// Returns the first problem, or an empty string for a runnable config.
+  /// Unlike an assert this holds in release builds; run_experiment throws
+  /// std::invalid_argument with the same message.
+  std::string validate() const;
 };
 
-struct ProxySnapshot {
-  std::string name;
-  std::uint64_t requests_received = 0;
-  std::uint64_t local_hits = 0;
-  std::uint64_t cached_objects = 0;
-  std::uint64_t table_entries = 0;
-  /// Payload bytes this proxy served (hits + degraded reads; 0 while the
-  /// store is disabled).
-  std::uint64_t payload_bytes_served = 0;
-  /// Filled only when ExperimentConfig::collect_cache_contents is set.
-  std::vector<ObjectId> cached_ids;
-};
+/// Per-proxy end-of-run counters; `cached_ids` is filled only when
+/// ExperimentConfig::collect_cache_contents is set.
+using ProxySnapshot = sim::ProxySnapshot;
 
 struct ExperimentResult {
   sim::MetricsSummary summary;

@@ -21,6 +21,8 @@ std::uint32_t carp_url_hash(std::string_view url) noexcept {
   return hash;
 }
 
+std::string member_name(NodeId id) { return "proxy[" + std::to_string(id) + "]"; }
+
 std::uint32_t carp_member_hash(std::string_view proxy_name) noexcept {
   std::uint32_t hash = 0;
   for (char c : proxy_name) {

@@ -26,6 +26,11 @@ std::uint32_t carp_member_hash(std::string_view proxy_name) noexcept;
 /// Combines a URL hash with a member hash (draft section 3.3).
 std::uint32_t carp_combine(std::uint32_t url_hash, std::uint32_t member_hash) noexcept;
 
+/// The name every deployment gives proxy `id`: "proxy[id]".  CARP, the
+/// ring and HRW hash member names, so the simulator, the daemons and the
+/// adversarial key miner agree on object ownership only by sharing it.
+std::string member_name(NodeId id);
+
 /// A CARP hash array: a fixed membership of proxies with relative load
 /// factors.  `owner()` returns the member with the highest combined score
 /// for a URL; ties break toward the lower index (deterministic).

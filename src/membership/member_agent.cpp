@@ -1,6 +1,6 @@
 #include "membership/member_agent.h"
 
-#include <cassert>
+#include "store/erasure_tier.h"
 
 namespace adc::membership {
 
@@ -15,19 +15,15 @@ SwimConfig derive_swim_config(SwimConfig swim, NodeId self) {
 
 }  // namespace
 
-MemberAgent::MemberAgent(std::unique_ptr<sim::Node> inner, std::vector<NodeId> peers,
+MemberAgent::MemberAgent(std::unique_ptr<sim::ProxyAgent> inner, std::vector<NodeId> peers,
                          MembershipConfig config)
     : sim::Node(inner->id(), inner->kind(), inner->name()),
       inner_(std::move(inner)),
       config_(config),
       detector_(id(), std::move(peers), derive_swim_config(config.swim, inner_->id())),
       repair_(config.repair) {
-  detector_.set_on_death([this](NodeId peer) {
-    if (hooks_.peer_dead) hooks_.peer_dead(peer);
-  });
-  detector_.set_on_join([this](NodeId peer) {
-    if (hooks_.peer_joined) hooks_.peer_joined(peer);
-  });
+  detector_.set_on_death([this](NodeId peer) { inner_->on_peer_dead(peer); });
+  detector_.set_on_join([this](NodeId peer) { inner_->on_peer_joined(peer); });
   // Transitions can happen inside on_message, where no tick clock reading
   // is in scope; latch and arm the repair budget at the next tick.
   detector_.set_on_transition([this] { transition_pending_ = true; });
@@ -47,21 +43,25 @@ void MemberAgent::tick(sim::Transport& net, SimTime now) {
     repair_.note_transition(now);
     transition_pending_ = false;
   }
+  store::ErasureTier* tier = inner_->erasure_tier();
   if (repair_.next_round(now)) {
-    if (hooks_.send_repair) {
-      for (const NodeId peer : detector_.alive_peers()) {
-        hooks_.send_repair(net, peer, config_.repair.batch);
-      }
+    for (const NodeId peer : detector_.alive_peers()) {
+      inner_->send_repair(net, peer, config_.repair.batch);
     }
-    if (hooks_.send_restripe) hooks_.send_restripe(net);
+    if (tier != nullptr) tier->restripe_round(net);
   }
   // Re-stripe work outlives the fixed per-transition round budget (a big
   // directory takes many byte-budgeted rounds to re-home), so keep the
   // scheduler armed while any repair item is queued.  Termination is
   // guaranteed: every item either acks or abandons after its retries.
-  if (!repair_.armed() && hooks_.restripe_pending && hooks_.restripe_pending()) {
+  if (!repair_.armed() && tier != nullptr && tier->restripe_pending()) {
     repair_.note_transition(now);
   }
+}
+
+bool MemberAgent::restripe_pending() const {
+  const store::ErasureTier* tier = inner_->erasure_tier();
+  return tier != nullptr && tier->restripe_pending();
 }
 
 }  // namespace adc::membership

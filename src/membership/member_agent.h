@@ -1,26 +1,25 @@
-// MemberAgent: wraps any sim::Node with a SwimDetector and a
+// MemberAgent: wraps a proxy agent with a SwimDetector and a
 // RepairScheduler so membership runs *next to* the protocol agent, not
 // inside it.  The wrapped agent stays byte-for-byte the code that runs
 // without membership; the wrapper routes SWIM control traffic to the
 // detector and everything else (requests, replies, repair opinions) to the
-// inner node, and a periodic tick() — driven by the simulator's event
+// inner agent, and a periodic tick() — driven by the simulator's event
 // queue or the daemon's poll loop — advances probes, timeouts, and repair
 // rounds.
 //
-// Reactions to membership changes are injected as hooks, because they are
-// scheme-specific: ADC prunes mapping tables and shrinks its forwarding
-// membership; consistent-hashing schemes rebuild their owner map.  The
-// wrapper itself knows nothing about either.
+// Reactions to membership changes go through the sim::ProxyAgent
+// interface, because they are scheme-specific: ADC prunes mapping tables
+// and shrinks its forwarding membership; consistent-hashing schemes
+// rebuild their owner map.  The wrapper itself knows nothing about either.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "membership/repair.h"
 #include "membership/swim.h"
-#include "sim/node.h"
+#include "sim/proxy_agent.h"
 #include "sim/transport.h"
 #include "util/types.h"
 
@@ -37,53 +36,36 @@ struct MembershipConfig {
 
 class MemberAgent final : public sim::Node {
  public:
-  struct Hooks {
-    /// Confirmed death / rejoin of a peer (after the epoch advanced).
-    std::function<void(NodeId)> peer_dead;
-    std::function<void(NodeId)> peer_joined;
-
-    /// Fire one anti-entropy batch toward `peer` (wired to
-    /// core::AdcProxy::send_anti_entropy for the ADC scheme, absent for
-    /// schemes with no resolver tables).
-    std::function<void(sim::Transport&, NodeId, std::size_t)> send_repair;
-
-    /// Fire one proactive re-stripe repair round (wired to
-    /// store::ErasureTier::restripe_round; absent when the erasure tier or
-    /// its repair is off).  Rides the same transition-gated cadence as
-    /// send_repair, and `restripe_pending` keeps the scheduler re-armed
-    /// while repair work remains queued — bounded, because queued items
-    /// abandon after their retry budget.
-    std::function<void(sim::Transport&)> send_restripe;
-    std::function<bool()> restripe_pending;
-  };
-
   /// `peers` is the candidate membership this node watches (its own id is
   /// filtered out).  Seeds are derived per node from config.swim.seed so
   /// each member's private probe order differs but stays reproducible.
-  MemberAgent(std::unique_ptr<sim::Node> inner, std::vector<NodeId> peers,
+  MemberAgent(std::unique_ptr<sim::ProxyAgent> inner, std::vector<NodeId> peers,
               MembershipConfig config);
-
-  void set_hooks(Hooks hooks) { hooks_ = std::move(hooks); }
 
   void on_message(sim::Transport& net, const sim::Message& msg) override;
 
-  /// Advances the detector and, when armed, fires a repair round offering
-  /// opinions to every currently-alive peer.
+  /// Advances the detector and, when armed, fires a repair round: the
+  /// inner agent offers anti-entropy opinions to every currently-alive
+  /// peer, and its erasure tier (when re-stripe repair is on) sends one
+  /// byte-budgeted re-stripe round.
   void tick(sim::Transport& net, SimTime now);
 
-  sim::Node& inner() noexcept { return *inner_; }
-  const sim::Node& inner() const noexcept { return *inner_; }
+  /// True while the inner agent's erasure tier still has re-stripe repair
+  /// queued — the host keeps ticking until this drains.
+  bool restripe_pending() const;
+
+  sim::ProxyAgent& inner() noexcept { return *inner_; }
+  const sim::ProxyAgent& inner() const noexcept { return *inner_; }
   SwimDetector& detector() noexcept { return detector_; }
   const SwimDetector& detector() const noexcept { return detector_; }
   const RepairScheduler& repair() const noexcept { return repair_; }
   const MembershipConfig& config() const noexcept { return config_; }
 
  private:
-  std::unique_ptr<sim::Node> inner_;
+  std::unique_ptr<sim::ProxyAgent> inner_;
   MembershipConfig config_;
   SwimDetector detector_;
   RepairScheduler repair_;
-  Hooks hooks_;
   bool transition_pending_ = false;
 };
 

@@ -14,7 +14,7 @@ HashingProxy::HashingProxy(NodeId id, std::string name,
                            std::shared_ptr<const OwnerMap> owners, NodeId origin,
                            std::size_t cache_capacity, cache::Policy policy,
                            bool entry_caching)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : ProxyAgent(id, std::move(name)),
       owners_(std::move(owners)),
       origin_(origin),
       cache_capacity_(cache_capacity),
@@ -60,6 +60,7 @@ void HashingProxy::on_message(Transport& net, const Message& msg) {
     }
     return;
   }
+  if (sim::is_repair_kind(msg.kind)) return;  // anti-entropy is ADC's alone
   if (msg.kind == MessageKind::kRequest) {
     receive_request(net, msg);
   } else {
@@ -74,26 +75,26 @@ void HashingProxy::set_owner_map_factory(OwnerMapFactory factory,
   std::sort(members_.begin(), members_.end());
 }
 
-double HashingProxy::handle_peer_dead(NodeId peer) {
+void HashingProxy::on_peer_dead(NodeId peer) {
   if (erasure_ != nullptr) erasure_->handle_peer_dead(peer);
-  if (!factory_ || peer == id()) return 0.0;
+  if (!factory_ || peer == id()) return;
   const auto it = std::find(members_.begin(), members_.end(), peer);
-  if (it == members_.end()) return 0.0;
+  if (it == members_.end()) return;
   members_.erase(it);
   if (members_.empty()) members_.push_back(id());
-  return rebuild_owners();
+  rebuild_owners();
 }
 
-double HashingProxy::handle_peer_joined(NodeId peer) {
+void HashingProxy::on_peer_joined(NodeId peer) {
   if (erasure_ != nullptr) erasure_->handle_peer_joined(peer);
-  if (!factory_) return 0.0;
+  if (!factory_) return;
   const auto pos = std::lower_bound(members_.begin(), members_.end(), peer);
-  if (pos != members_.end() && *pos == peer) return 0.0;
+  if (pos != members_.end() && *pos == peer) return;
   members_.insert(pos, peer);
-  return rebuild_owners();
+  rebuild_owners();
 }
 
-double HashingProxy::rebuild_owners() {
+void HashingProxy::rebuild_owners() {
   std::shared_ptr<const OwnerMap> fresh = factory_(members_);
   assert(fresh != nullptr);
   ObjectId moved = 0;
@@ -107,7 +108,19 @@ double HashingProxy::rebuild_owners() {
       static_cast<double>(moved) / static_cast<double>(kReshuffleSample);
   stats_.max_reshuffle_fraction =
       std::max(stats_.max_reshuffle_fraction, stats_.last_reshuffle_fraction);
-  return stats_.last_reshuffle_fraction;
+}
+
+sim::ProxySnapshot HashingProxy::snapshot(bool with_contents) const {
+  sim::ProxySnapshot snap;
+  snap.name = name();
+  snap.requests_received = stats_.requests_received;
+  snap.local_hits = stats_.local_hits;
+  snap.cached_objects = cache_->size();
+  snap.payload_bytes_served = stats_.payload_bytes_served;
+  snap.payload_bytes_fetched = stats_.payload_bytes_fetched;
+  snap.max_reshuffle_fraction = stats_.max_reshuffle_fraction;
+  if (with_contents) snap.cached_ids = cache_->eviction_order();
+  return snap;
 }
 
 void HashingProxy::send_reply_toward_client(Transport& net, Message reply, NodeId entry) {

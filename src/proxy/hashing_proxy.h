@@ -28,7 +28,7 @@
 #include "hash/carp.h"
 #include "hash/consistent_hash.h"
 #include "hash/rendezvous.h"
-#include "sim/node.h"
+#include "sim/proxy_agent.h"
 #include "sim/transport.h"
 #include "store/erasure_tier.h"
 #include "store/payload.h"
@@ -92,7 +92,7 @@ struct HashingProxyStats {
   std::uint64_t degraded_reads_served = 0;  // misses answered by reconstruction
 };
 
-class HashingProxy final : public sim::Node {
+class HashingProxy final : public sim::ProxyAgent {
  public:
   /// Rebuilds an OwnerMap from a membership (ids of the live proxies).
   /// Captures whatever naming / load-factor context the scheme needs.
@@ -121,23 +121,15 @@ class HashingProxy final : public sim::Node {
   /// proxies.  Must run before traffic starts.
   void enable_store(const store::StoreContext& ctx);
 
-  const store::ErasureTier* erasure() const noexcept { return erasure_.get(); }
+  store::ErasureTier* erasure_tier() const noexcept override { return erasure_.get(); }
 
-  /// Mutable tier access for the hosts that drive background repair
-  /// rounds (membership hooks, the live daemon).  Null while no tier.
-  store::ErasureTier* erasure_tier() noexcept { return erasure_.get(); }
-
-  /// Wires a link-load oracle into the hosted erasure tier (no-op while no
-  /// tier exists).  Must run after enable_store.
-  void set_erasure_load_probe(store::ErasureTier::LoadProbe probe) {
-    if (erasure_ != nullptr) erasure_->set_load_probe(std::move(probe));
-  }
+  sim::ProxySnapshot snapshot(bool with_contents) const override;
 
   /// Fault injection: drops every cached object (cold restart; in-flight
   /// fetch routes survive).  Stripe-chunk *presence* survives a flush —
   /// chunk bytes are regenerable from the deterministic store, so the
   /// directory is the only state and a restarted daemon re-announces it.
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
   }
@@ -149,16 +141,16 @@ class HashingProxy final : public sim::Node {
   void set_owner_map_factory(OwnerMapFactory factory, std::vector<NodeId> members);
 
   /// Confirmed membership change: removes/reinstates the peer and rebuilds
-  /// the owner map, measuring the fraction of sampled objects whose owner
-  /// moved.  Returns that fraction (0 when nothing changed or no factory
-  /// is installed).  The local cache is kept — entries the proxy no longer
-  /// owns simply age out, mirroring what a real CARP member does.
-  double handle_peer_dead(NodeId peer);
-  double handle_peer_joined(NodeId peer);
+  /// the owner map, recording the fraction of sampled objects whose owner
+  /// moved (the map stays fixed when no factory is installed).  The local
+  /// cache is kept — entries the proxy no longer owns simply age out,
+  /// mirroring what a real CARP member does.
+  void on_peer_dead(NodeId peer) override;
+  void on_peer_joined(NodeId peer) override;
 
  private:
   /// Recomputes owners_ from members_ and updates the reshuffle stats.
-  double rebuild_owners();
+  void rebuild_owners();
   void receive_request(sim::Transport& net, const sim::Message& msg);
   void receive_reply(sim::Transport& net, const sim::Message& msg);
   void handle_chunk_reply(sim::Transport& net, const sim::Message& msg);

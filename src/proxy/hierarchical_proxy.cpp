@@ -11,7 +11,7 @@ using sim::Transport;
 
 CacheNode::CacheNode(NodeId id, std::string name, NodeId upstream,
                      std::size_t cache_capacity, cache::Policy policy)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : ProxyAgent(id, std::move(name)),
       upstream_(upstream),
       cache_capacity_(cache_capacity),
       policy_(policy),
@@ -24,6 +24,18 @@ void CacheNode::enable_store(const store::StoreContext& ctx) {
   cache_ = cache::make_sized_cache(
       cache_capacity_, policy_, store_->config().byte_budget,
       [sizer](ObjectId object) { return sizer->size_of(object); });
+}
+
+sim::ProxySnapshot CacheNode::snapshot(bool with_contents) const {
+  sim::ProxySnapshot snap;
+  snap.name = name();
+  snap.requests_received = stats_.requests_received;
+  snap.local_hits = stats_.local_hits;
+  snap.cached_objects = cache_->size();
+  snap.payload_bytes_served = stats_.payload_bytes_served;
+  snap.payload_bytes_fetched = stats_.payload_bytes_fetched;
+  if (with_contents) snap.cached_ids = cache_->eviction_order();
+  return snap;
 }
 
 void CacheNode::on_message(Transport& net, const Message& msg) {

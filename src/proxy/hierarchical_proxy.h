@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cache/policies.h"
-#include "sim/node.h"
+#include "sim/proxy_agent.h"
 #include "sim/pending_records.h"
 #include "sim/transport.h"
 #include "store/payload.h"
@@ -32,7 +32,7 @@ struct CacheNodeStats {
   std::uint64_t payload_bytes_fetched = 0;  // bytes fetched from upstream
 };
 
-class CacheNode final : public sim::Node {
+class CacheNode final : public sim::ProxyAgent {
  public:
   CacheNode(NodeId id, std::string name, NodeId upstream, std::size_t cache_capacity,
             cache::Policy policy = cache::Policy::kLru);
@@ -43,6 +43,8 @@ class CacheNode final : public sim::Node {
   const cache::CacheSet& cache() const noexcept { return *cache_; }
   std::size_t pending() const noexcept { return pending_.size(); }
 
+  sim::ProxySnapshot snapshot(bool with_contents) const override;
+
   /// Attaches the payload store: byte-budgeted, size-aware cache of the
   /// same policy plus per-hit byte accounting.  Hierarchies carry no
   /// erasure tier — degraded reads are a flat-membership construct.
@@ -50,7 +52,7 @@ class CacheNode final : public sim::Node {
 
   /// Fault injection: drops every cached object (cold restart; in-flight
   /// fetch routes survive).
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
   }

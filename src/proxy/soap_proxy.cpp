@@ -13,7 +13,7 @@ SoapProxy::SoapProxy(NodeId id, std::string name,
                      std::shared_ptr<const CategoryMap> categories,
                      std::vector<NodeId> proxies, NodeId origin,
                      std::size_t cache_capacity, SoapConfig config)
-    : Node(id, sim::NodeKind::kProxy, std::move(name)),
+    : ProxyAgent(id, std::move(name)),
       categories_(std::move(categories)),
       proxies_(std::move(proxies)),
       origin_(origin),
@@ -22,6 +22,16 @@ SoapProxy::SoapProxy(NodeId id, std::string name,
   assert(categories_ != nullptr);
   assert(!proxies_.empty());
   scores_.assign(categories_->categories() * proxies_.size(), 0.5);
+}
+
+sim::ProxySnapshot SoapProxy::snapshot(bool with_contents) const {
+  sim::ProxySnapshot snap;
+  snap.name = name();
+  snap.requests_received = stats_.requests_received;
+  snap.local_hits = stats_.local_hits;
+  snap.cached_objects = cache_->size();
+  if (with_contents) snap.cached_ids = cache_->eviction_order();
+  return snap;
 }
 
 double SoapProxy::score(std::size_t category, NodeId peer) const noexcept {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "cache/policies.h"
-#include "sim/node.h"
+#include "sim/proxy_agent.h"
 #include "sim/transport.h"
 #include "util/types.h"
 
@@ -53,7 +53,7 @@ struct SoapProxyStats {
   std::uint64_t forwards_to_origin = 0;
 };
 
-class SoapProxy final : public sim::Node {
+class SoapProxy final : public sim::ProxyAgent {
  public:
   SoapProxy(NodeId id, std::string name, std::shared_ptr<const CategoryMap> categories,
             std::vector<NodeId> proxies, NodeId origin, std::size_t cache_capacity,
@@ -65,12 +65,14 @@ class SoapProxy final : public sim::Node {
   const cache::CacheSet& cache() const noexcept { return *cache_; }
   std::size_t pending() const noexcept { return pending_.size(); }
 
+  sim::ProxySnapshot snapshot(bool with_contents) const override;
+
   /// Learned score for routing a category to a peer (tests/diagnostics).
   double score(std::size_t category, NodeId peer) const noexcept;
 
   /// Fault injection: drops the cache and resets every learned score (cold
   /// restart; in-flight fetch routes survive).
-  void flush() {
+  void flush() override {
     cache_->clear();
     versions_.clear();
     scores_.assign(scores_.size(), 0.5);

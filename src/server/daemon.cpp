@@ -6,9 +6,10 @@
 #include <utility>
 
 #include "core/adc_proxy.h"
-#include "hash/carp.h"
+#include "driver/proxy_factory.h"
 #include "proxy/hashing_proxy.h"
 #include "proxy/origin_server.h"
+#include "store/erasure_tier.h"
 #include "util/logging.h"
 
 namespace adc::server {
@@ -79,20 +80,9 @@ NodeDaemon::NodeDaemon(DaemonConfig config)
                  << (config_.payload.erasure.enabled ? ", erasure tier on" : "");
   }
   make_node();
-  if (config_.membership.swim.enabled && config_.role != DaemonRole::kOrigin) {
-    // Same per-node seed derivation membership::MemberAgent uses, so a
-    // cluster and a simulation draw comparable private probe streams.
-    membership::SwimConfig swim = config_.membership.swim;
-    swim.seed = swim.seed * 0x9e3779b97f4a7c15ULL +
-                static_cast<std::uint64_t>(config_.node_id) + 1;
-    detector_ = std::make_unique<membership::SwimDetector>(config_.node_id,
-                                                           config_.proxy_ids, swim);
-    repair_ = std::make_unique<membership::RepairScheduler>(config_.membership.repair);
-    detector_->set_on_death([this](NodeId peer) { on_member_dead(peer); });
-    detector_->set_on_join([this](NodeId peer) { on_member_joined(peer); });
-    detector_->set_on_transition([this] { transition_pending_ = true; });
+  if (member_ != nullptr) {
     ADC_LOG_INFO << "adcd[" << config_.node_id << "]: SWIM detector enabled, watching "
-                 << detector_->alive_peers().size() << " peers";
+                 << member_->detector().alive_peers().size() << " peers";
   }
 }
 
@@ -103,50 +93,26 @@ NodeDaemon::~NodeDaemon() {
 
 void NodeDaemon::make_node() {
   const std::string name = role_name(config_.role) + "[" + std::to_string(config_.node_id) + "]";
-  switch (config_.role) {
-    case DaemonRole::kAdcProxy: {
-      auto adc = std::make_unique<core::AdcProxy>(config_.node_id, name, config_.adc,
-                                                  config_.proxy_ids, config_.origin_id);
-      if (store_ != nullptr) adc->enable_store(store::StoreContext{store_, config_.proxy_ids});
-      node_ = std::move(adc);
-      break;
-    }
-    case DaemonRole::kCarpProxy: {
-      std::vector<hash::CarpArray::Member> members;
-      for (const NodeId id : config_.proxy_ids) {
-        // Member names must match run_experiment's proxy_name() so the CARP
-        // hash — and therefore object ownership — is identical to the sim.
-        members.push_back({"proxy[" + std::to_string(id) + "]", id, 1.0});
-      }
-      auto owners = std::make_shared<proxy::CarpOwnerMap>(hash::CarpArray(std::move(members)));
-      auto carp = std::make_unique<proxy::HashingProxy>(config_.node_id, name,
-                                                        std::move(owners), config_.origin_id,
-                                                        config_.carp_cache_capacity,
-                                                        config_.carp_policy);
-      if (config_.membership.swim.enabled) {
-        // Live membership: rebuild the array over whatever subset of the
-        // startup membership survives, keeping the sim-compatible names.
-        carp->set_owner_map_factory(
-            [](const std::vector<NodeId>& ids) -> std::shared_ptr<const proxy::OwnerMap> {
-              std::vector<hash::CarpArray::Member> live;
-              for (const NodeId id : ids) {
-                live.push_back({"proxy[" + std::to_string(id) + "]", id, 1.0});
-              }
-              return std::make_shared<proxy::CarpOwnerMap>(hash::CarpArray(std::move(live)));
-            },
-            config_.proxy_ids);
-      }
-      if (store_ != nullptr) carp->enable_store(store::StoreContext{store_, config_.proxy_ids});
-      node_ = std::move(carp);
-      break;
-    }
-    case DaemonRole::kOrigin: {
-      auto origin = std::make_unique<proxy::OriginServer>(config_.node_id, name);
-      if (store_ != nullptr) origin->set_sizer(store_);
-      node_ = std::move(origin);
-      break;
-    }
+  if (config_.role == DaemonRole::kOrigin) {
+    auto origin = std::make_unique<proxy::OriginServer>(config_.node_id, name);
+    if (store_ != nullptr) origin->set_sizer(store_);
+    node_ = std::move(origin);
+    return;
   }
+  driver::ProxySpec spec;
+  spec.scheme = config_.role == DaemonRole::kAdcProxy ? driver::Scheme::kAdc
+                                                      : driver::Scheme::kCarp;
+  spec.proxies = config_.proxy_ids;
+  spec.upstream = config_.origin_id;
+  spec.adc = config_.adc;
+  spec.cache_capacity = config_.carp_cache_capacity;
+  spec.policy = config_.carp_policy;
+  spec.store = store_;
+  spec.membership = config_.membership;
+  driver::BuiltProxy built = driver::build_proxy(spec, config_.node_id, name);
+  agent_ = built.agent;
+  member_ = built.member;
+  node_ = std::move(built.node);
 }
 
 std::uint16_t NodeDaemon::bind(std::string* error) {
@@ -162,7 +128,7 @@ void NodeDaemon::run() {
   // live-scale SWIM intervals (seconds).  With frames waiting on the
   // egress bucket the timeout drops to 5ms so paced drains track the
   // configured rate instead of the poll cadence.
-  const int idle_poll_ms = detector_ != nullptr ? 100 : 500;
+  const int idle_poll_ms = member_ != nullptr ? 100 : 500;
   while (!loop_.stopped()) {
     const int poll_ms = egress_q_.empty() ? idle_poll_ms : 5;
     if (loop_.poll_once(poll_ms) < 0) break;
@@ -172,95 +138,14 @@ void NodeDaemon::run() {
   }
 }
 
-void NodeDaemon::on_member_dead(NodeId peer) {
-  membership_epoch_.store(detector_->epoch(), std::memory_order_release);
-  switch (config_.role) {
-    case DaemonRole::kAdcProxy: {
-      // The silent-peer purge: a peer the detector declares dead loses its
-      // mapping entries and forwarding-membership slot even when no
-      // request traffic ever touched the dead connection (probe timeouts
-      // alone get here).
-      const std::size_t removed =
-          static_cast<core::AdcProxy&>(*node_).handle_peer_dead(peer);
-      fault_stats_.entries_invalidated += removed;
-      ADC_LOG_WARN << "adcd[" << config_.node_id << "]: member " << peer
-                   << " confirmed dead (epoch " << detector_->epoch() << "), purged "
-                   << removed << " table entries";
-      break;
-    }
-    case DaemonRole::kCarpProxy: {
-      const double fraction =
-          static_cast<proxy::HashingProxy&>(*node_).handle_peer_dead(peer);
-      ADC_LOG_WARN << "adcd[" << config_.node_id << "]: member " << peer
-                   << " confirmed dead (epoch " << detector_->epoch()
-                   << "), owner map rebuilt, reshuffle_fraction=" << fraction;
-      break;
-    }
-    case DaemonRole::kOrigin:
-      break;
-  }
-}
-
-void NodeDaemon::on_member_joined(NodeId peer) {
-  membership_epoch_.store(detector_->epoch(), std::memory_order_release);
-  switch (config_.role) {
-    case DaemonRole::kAdcProxy:
-      static_cast<core::AdcProxy&>(*node_).handle_peer_joined(peer);
-      break;
-    case DaemonRole::kCarpProxy:
-      static_cast<proxy::HashingProxy&>(*node_).handle_peer_joined(peer);
-      break;
-    case DaemonRole::kOrigin:
-      break;
-  }
-  ADC_LOG_INFO << "adcd[" << config_.node_id << "]: member " << peer
-               << " rejoined (epoch " << detector_->epoch() << ")";
-}
-
-store::ErasureTier* NodeDaemon::hosted_tier() noexcept {
-  switch (config_.role) {
-    case DaemonRole::kAdcProxy:
-      return static_cast<core::AdcProxy&>(*node_).erasure_tier();
-    case DaemonRole::kCarpProxy:
-      return static_cast<proxy::HashingProxy&>(*node_).erasure_tier();
-    case DaemonRole::kOrigin:
-      return nullptr;
-  }
-  return nullptr;
-}
-
 void NodeDaemon::drive_membership() {
-  if (detector_ == nullptr) return;
+  if (member_ == nullptr) return;
   current_path_.clear();  // control traffic carries no journey path
-  const SimTime t = now();
-  detector_->tick(*this, t);
-  if (transition_pending_) {
-    repair_->note_transition(t);
-    transition_pending_ = false;
-  }
-  if (repair_->next_round(t)) {
-    if (config_.role == DaemonRole::kAdcProxy) {
-      auto& adc = static_cast<core::AdcProxy&>(*node_);
-      for (const NodeId peer : detector_->alive_peers()) {
-        adc.send_anti_entropy(*this, peer, config_.membership.repair.batch);
-      }
-    }
-    // Re-stripe repair rides the same transition-gated cadence on every
-    // proxy role that hosts a tier; offers are egress-paced like any
-    // payload frame (they are not SWIM kinds), so background healing
-    // cannot starve foreground traffic under a byte ceiling.
-    if (store::ErasureTier* tier = hosted_tier();
-        tier != nullptr && tier->restripe_enabled()) {
-      tier->restripe_round(*this);
-    }
-  }
-  // Repair queues outlive the fixed per-transition round budget; keep the
-  // scheduler armed while items remain (bounded: each acks or abandons).
-  if (!repair_->armed()) {
-    if (const store::ErasureTier* tier = hosted_tier();
-        tier != nullptr && tier->restripe_pending()) {
-      repair_->note_transition(t);
-    }
+  member_->tick(*this, now());
+  const std::uint64_t epoch = member_->detector().epoch();
+  if (membership_epoch_.exchange(epoch, std::memory_order_acq_rel) != epoch) {
+    ADC_LOG_WARN << "adcd[" << config_.node_id << "]: membership epoch " << epoch
+                 << ", peers: " << member_->detector().describe_peers();
   }
   if (const store::ErasureTier* tier = hosted_tier(); tier != nullptr) {
     restripe_backlog_.store(tier->restripe_queued(), std::memory_order_release);
@@ -330,17 +215,14 @@ void NodeDaemon::on_conn_event(int fd, bool readable, bool writable) {
     }
     if (sim::is_swim_kind(frame.message.msg.kind)) {
       // Failure-detector control traffic never reaches the hosted agent
-      // (and may trigger outbound acks/broadcasts right here).
-      if (detector_ != nullptr) {
+      // (the wrapper routes it to its detector, which may send acks or
+      // broadcasts right here).
+      if (member_ != nullptr) {
         current_path_.clear();
-        detector_->on_message(*this, frame.message.msg);
+        member_->on_message(*this, frame.message.msg);
       }
       if (conns_.find(fd) == conns_.end()) return;  // ack send dropped us
       continue;
-    }
-    if (sim::is_repair_kind(frame.message.msg.kind) &&
-        config_.role != DaemonRole::kAdcProxy) {
-      continue;  // only the ADC agent understands anti-entropy frames
     }
     if (!verify_body(frame.message)) continue;  // corrupt payload, frame dropped
     deliver(std::move(frame.message));
@@ -370,25 +252,19 @@ void NodeDaemon::deliver(net::WireMessage wire) {
 void NodeDaemon::note_peer_down(NodeId peer) {
   if (!health_.record_failure(peer, now())) return;  // deeper into an existing streak
   ADC_LOG_WARN << "adcd[" << config_.node_id << "]: peer " << peer << " is down";
-  if (config_.role == DaemonRole::kAdcProxy && peer != config_.origin_id) {
-    // Age out mapping entries pointing at the dead peer so lookups fall
-    // back to random forwarding instead of chasing a black hole.
-    const std::size_t removed = static_cast<core::AdcProxy&>(*node_).invalidate_peer(peer);
-    fault_stats_.entries_invalidated += removed;
-    if (removed != 0) {
-      ADC_LOG_INFO << "adcd[" << config_.node_id << "]: invalidated " << removed
-                   << " table entries for dead peer " << peer;
-    }
-  }
+  if (peer == config_.origin_id) return;
+  // Let the agent stop routing at the dead peer (ADC ages out its mapping
+  // entries, so lookups fall back to random forwarding).
+  if (agent_ != nullptr) agent_->on_peer_unreachable(peer);
   // Transport-level evidence short-circuits the probe cycle: suspect the
   // peer now instead of waiting for its next scheduled ping to time out.
-  if (detector_ != nullptr && peer != config_.origin_id) {
-    detector_->observe_failure(*this, peer, now());
-  }
+  if (member_ != nullptr) member_->detector().observe_failure(*this, peer, now());
 }
 
 void NodeDaemon::note_peer_up(NodeId peer) {
-  if (detector_ != nullptr && peer != config_.origin_id) detector_->observe_alive(peer);
+  if (member_ != nullptr && peer != config_.origin_id) {
+    member_->detector().observe_alive(peer);
+  }
   if (!health_.record_success(peer)) return;  // was not down
   ++fault_stats_.reconnects;
   ADC_LOG_INFO << "adcd[" << config_.node_id << "]: peer " << peer << " reconnected";
@@ -659,6 +535,7 @@ bool NodeDaemon::verify_body(const net::WireMessage& wire) {
 
 sim::FaultCounters NodeDaemon::fault_stats() const {
   sim::FaultCounters merged = fault_stats_;
+  if (agent_ != nullptr) merged.entries_invalidated = agent_->snapshot(false).entries_invalidated;
   if (chaos_ != nullptr) {
     const sim::FaultCounters& injected = chaos_->counters();
     merged.drops_random = injected.drops_random;
@@ -716,11 +593,12 @@ std::string NodeDaemon::stats_text() const {
     for (const NodeId peer : down) out += " " + std::to_string(peer);
     out += "\n";
   }
-  if (detector_ != nullptr) {
-    const membership::SwimStats& swim = detector_->stats();
-    out += "  membership_epoch=" + std::to_string(detector_->epoch()) +
-           " incarnation=" + std::to_string(detector_->self_incarnation()) +
-           " peers: " + detector_->describe_peers() + "\n";
+  if (member_ != nullptr) {
+    const membership::SwimDetector& detector = member_->detector();
+    const membership::SwimStats& swim = detector.stats();
+    out += "  membership_epoch=" + std::to_string(detector.epoch()) +
+           " incarnation=" + std::to_string(detector.self_incarnation()) +
+           " peers: " + detector.describe_peers() + "\n";
     out += "  swim: pings_sent=" + std::to_string(swim.pings_sent) +
            " acks_sent=" + std::to_string(swim.acks_sent) +
            " ping_reqs_sent=" + std::to_string(swim.ping_reqs_sent) +
@@ -729,7 +607,7 @@ std::string NodeDaemon::stats_text() const {
            " refutations=" + std::to_string(swim.refutations) +
            " deaths=" + std::to_string(swim.deaths) +
            " joins=" + std::to_string(swim.joins) +
-           " repair_rounds=" + std::to_string(repair_->rounds_fired()) + "\n";
+           " repair_rounds=" + std::to_string(member_->repair().rounds_fired()) + "\n";
   }
   if (const store::ErasureTier* tier = hosted_tier();
       tier != nullptr && tier->restripe_enabled()) {
@@ -749,7 +627,7 @@ std::string NodeDaemon::stats_text() const {
   }
   switch (config_.role) {
     case DaemonRole::kAdcProxy: {
-      const auto& stats = static_cast<const core::AdcProxy&>(*node_).stats();
+      const auto& stats = static_cast<const core::AdcProxy&>(hosted()).stats();
       out += "  requests_received=" + std::to_string(stats.requests_received) +
              " local_hits=" + std::to_string(stats.local_hits) +
              " forwards_learned=" + std::to_string(stats.forwards_learned) +
@@ -769,7 +647,7 @@ std::string NodeDaemon::stats_text() const {
       break;
     }
     case DaemonRole::kCarpProxy: {
-      const auto& stats = static_cast<const proxy::HashingProxy&>(*node_).stats();
+      const auto& stats = static_cast<const proxy::HashingProxy&>(hosted()).stats();
       out += "  requests_received=" + std::to_string(stats.requests_received) +
              " local_hits=" + std::to_string(stats.local_hits) +
              " forwards_to_owner=" + std::to_string(stats.forwards_to_owner) +
@@ -782,7 +660,7 @@ std::string NodeDaemon::stats_text() const {
       break;
     }
     case DaemonRole::kOrigin: {
-      const auto& origin = static_cast<const proxy::OriginServer&>(*node_);
+      const auto& origin = static_cast<const proxy::OriginServer&>(hosted());
       out += "  requests_served=" + std::to_string(origin.requests_served());
       if (store_ != nullptr) {
         out += " bytes_served=" + std::to_string(origin.bytes_served());

@@ -3,10 +3,13 @@
 // NodeDaemon is the live-runtime implementation of sim::Transport: it owns
 // exactly one sim::Node (an unmodified core::AdcProxy, the CARP baseline's
 // proxy::HashingProxy, or the proxy::OriginServer), a listening socket, and
-// lazily-established connections to its peers.  The agent code cannot tell
-// whether it is running under the discrete-event Simulator or here — both
-// deliver through Node::on_message and both increment Message::hops exactly
-// once per transfer, so hit-rate and hop accounting agree across media.
+// lazily-established connections to its peers.  Proxies come from the
+// simulator's driver::build_proxy and, with membership on, run inside the
+// same membership::MemberAgent wrapper the simulator uses.  The agent code
+// cannot tell whether it is running under the discrete-event Simulator or
+// here — both deliver through Node::on_message and both increment
+// Message::hops exactly once per transfer, so hit-rate and hop accounting
+// agree across media.
 //
 // Frames carry the request's journey path: on every delivery the daemon
 // extends the incoming path with its own id and stamps it onto each frame
@@ -37,14 +40,11 @@
 #include "net/wire.h"
 #include "sim/metrics.h"
 #include "sim/node.h"
+#include "sim/proxy_agent.h"
 #include "sim/transport.h"
 #include "store/payload.h"
 #include "util/rng.h"
 #include "util/types.h"
-
-namespace adc::store {
-class ErasureTier;
-}
 
 namespace adc::server {
 
@@ -168,13 +168,14 @@ class NodeDaemon final : public sim::Transport {
 
   const DaemonStats& stats() const noexcept { return stats_; }
   NodeId node_id() const noexcept { return config_.node_id; }
-  sim::Node& hosted() noexcept { return *node_; }
+  /// The protocol agent (never the membership wrapper around it).
+  sim::Node& hosted() noexcept { return agent_ != nullptr ? *agent_ : *node_; }
+  const sim::Node& hosted() const noexcept { return agent_ != nullptr ? *agent_ : *node_; }
 
   /// The hosted proxy's erasure tier, or nullptr (origin role, store or
   /// erasure disabled).  Loop thread only, like the stats.
-  store::ErasureTier* hosted_tier() noexcept;
-  const store::ErasureTier* hosted_tier() const noexcept {
-    return const_cast<NodeDaemon*>(this)->hosted_tier();
+  store::ErasureTier* hosted_tier() const noexcept {
+    return agent_ != nullptr ? agent_->erasure_tier() : nullptr;
   }
 
   /// Resilience counters (retries/reconnects/degraded fetches/table
@@ -200,7 +201,9 @@ class NodeDaemon final : public sim::Transport {
 
   /// The failure detector, or nullptr when membership is disabled.  Only
   /// safe to read from the loop thread (or after run() returned).
-  const membership::SwimDetector* detector() const noexcept { return detector_.get(); }
+  const membership::SwimDetector* detector() const noexcept {
+    return member_ != nullptr ? &member_->detector() : nullptr;
+  }
 
   /// Egress-pacing introspection (loop thread only, like the stats).
   std::size_t egress_queue_depth() const noexcept { return egress_q_.size(); }
@@ -236,8 +239,9 @@ class NodeDaemon final : public sim::Transport {
   int fd_for(NodeId id);
 
   /// Peer-health transitions: a peer observed down (dial/write/read
-  /// failure) or back up.  Down transitions age out ADC mapping entries
-  /// pointing at the dead peer so lookups stop chasing it.
+  /// failure) or back up.  Down transitions tell the agent (ADC ages out
+  /// mapping entries pointing at the dead peer so lookups stop chasing it)
+  /// and the failure detector.
   void note_peer_down(NodeId peer);
   void note_peer_up(NodeId peer);
 
@@ -245,10 +249,8 @@ class NodeDaemon final : public sim::Transport {
   /// records the failure against any peer routed over it.
   void account_dead_conn(int fd, net::Conn::Io io);
 
-  /// Detector callbacks (confirmed transitions) and the per-poll driver
-  /// for probes, timeouts and repair rounds.
-  void on_member_dead(NodeId peer);
-  void on_member_joined(NodeId peer);
+  /// Per-poll membership driver: ticks the MemberAgent (probes, timeouts,
+  /// repair rounds) and publishes the epoch and re-stripe backlog.
   void drive_membership();
 
   /// Fills `wire.body`/`wire.checksum` for payload-carrying frame kinds
@@ -278,15 +280,14 @@ class NodeDaemon final : public sim::Transport {
   sim::FaultCounters fault_stats_;
   std::set<NodeId> dialed_before_;  // peers that had their startup dial
 
-  std::unique_ptr<membership::SwimDetector> detector_;  // null when disabled
-  std::unique_ptr<membership::RepairScheduler> repair_;
-  bool transition_pending_ = false;
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<std::uint64_t> restripe_backlog_{0};
 
   store::PayloadStorePtr store_;  // null with the payload store disabled
 
-  std::unique_ptr<sim::Node> node_;
+  std::unique_ptr<sim::Node> node_;  // receives deliveries: agent, wrapper or origin
+  sim::ProxyAgent* agent_ = nullptr;           // proxy roles: the protocol agent
+  membership::MemberAgent* member_ = nullptr;  // membership on: the wrapper
   net::EventLoop loop_;
   int listener_ = -1;
   std::map<int, std::unique_ptr<net::Conn>> conns_;

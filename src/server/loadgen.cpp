@@ -248,8 +248,10 @@ bool LoadGenerator::issue_next() {
                       : std::numeric_limits<std::int64_t>::max(),
                   target});
 
+  net::WireMessage wire;
+  wire.msg = request;
   std::vector<std::uint8_t> bytes;
-  net::encode_message(net::WireMessage{request, {}}, &bytes);
+  net::encode_message(wire, &bytes);
   net::Conn& conn = *conns_.at(fd);
   conn.queue(bytes);
   const net::Conn::Io io = conn.flush();

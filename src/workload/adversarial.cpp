@@ -12,8 +12,6 @@
 namespace adc::workload {
 namespace {
 
-std::string member_name(int index) { return "proxy[" + std::to_string(index) + "]"; }
-
 /// Owner lookup closure over the scheme's real allocation structure.
 /// Members are named/numbered exactly the way driver::run_experiment and
 /// server::NodeDaemon build them, so mined placements transfer verbatim.
@@ -24,24 +22,16 @@ class OwnerOracle {
     switch (scheme_) {
       case FloodScheme::kCarp: {
         std::vector<hash::CarpArray::Member> members;
-        for (int i = 0; i < proxies; ++i) {
-          members.push_back({member_name(i), static_cast<NodeId>(i), 1.0});
-        }
+        for (NodeId id = 0; id < proxies; ++id) members.push_back({hash::member_name(id), id, 1.0});
         carp_ = hash::CarpArray(std::move(members));
         break;
       }
-      case FloodScheme::kRing: {
-        for (int i = 0; i < proxies; ++i) {
-          ring_.add_member(static_cast<NodeId>(i), member_name(i));
-        }
+      case FloodScheme::kRing:
+        for (NodeId id = 0; id < proxies; ++id) ring_.add_member(id, hash::member_name(id));
         break;
-      }
-      case FloodScheme::kRendezvous: {
-        for (int i = 0; i < proxies; ++i) {
-          hrw_.add_member(static_cast<NodeId>(i), member_name(i));
-        }
+      case FloodScheme::kRendezvous:
+        for (NodeId id = 0; id < proxies; ++id) hrw_.add_member(id, hash::member_name(id));
         break;
-      }
     }
   }
 

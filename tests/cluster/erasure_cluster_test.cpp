@@ -295,9 +295,9 @@ TEST(ErasureCluster, DegradedReadsServeTheDeadMembersObjects) {
     if (i == kVictim) continue;
     const auto& proxy =
         static_cast<const proxy::HashingProxy&>(cluster.daemon(i).hosted());
-    ASSERT_NE(proxy.erasure(), nullptr) << "daemon " << i;
-    recovered += proxy.erasure()->stats().degraded_recovered;
-    chunk_replies += proxy.erasure()->stats().chunk_replies_served;
+    ASSERT_NE(proxy.erasure_tier(), nullptr) << "daemon " << i;
+    recovered += proxy.erasure_tier()->stats().degraded_recovered;
+    chunk_replies += proxy.erasure_tier()->stats().chunk_replies_served;
     EXPECT_EQ(cluster.daemon(i).stats().body_verify_failures, 0u) << "daemon " << i;
   }
   EXPECT_GE(recovered, measured.degraded_reads);

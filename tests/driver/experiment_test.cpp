@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "workload/polygraph.h"
 
@@ -251,6 +252,59 @@ TEST(Experiment, AdcTotalsAggregatePerProxyStats) {
   EXPECT_GT(result.adc_totals.requests_received, 0u);
   EXPECT_EQ(result.adc_totals.local_hits, result.summary.hits);
   EXPECT_GT(result.adc_totals.replies_relayed, 0u);
+}
+
+// Fault targets are checked in every build, not by an assert that NDEBUG
+// compiles out: an out-of-range victim would index past the proxy list.
+TEST(ExperimentValidate, AcceptsDefaultAndDisabledFaults) {
+  ExperimentConfig config = small_config(Scheme::kAdc);
+  EXPECT_EQ(config.validate(), "");
+  config.fault.proxy_index = 7;  // ignored while the fault is off
+  EXPECT_EQ(config.validate(), "");
+  fault::CrashWindow keep_state;
+  keep_state.node = 3;  // the origin: a crash that keeps state only drops traffic
+  keep_state.flush_state = false;
+  config.fault_plan.crashes.push_back(keep_state);
+  EXPECT_EQ(config.validate(), "");
+}
+
+TEST(ExperimentValidate, RejectsFaultProxyOutsideTheDeployment) {
+  for (const int index : {-1, 3, 7}) {
+    ExperimentConfig config = small_config(Scheme::kCarp);
+    config.fault.at_completed = 1000;
+    config.fault.proxy_index = index;
+    const std::string error = config.validate();
+    EXPECT_NE(error.find("fault.proxy_index " + std::to_string(index)), std::string::npos)
+        << error;
+    EXPECT_THROW(run_experiment(config, small_trace()), std::invalid_argument);
+  }
+}
+
+TEST(ExperimentValidate, RejectsFlushingCrashWindowOnANonProxy) {
+  // Flushing state would treat the origin (node 3) or the client (node 4)
+  // as a proxy.
+  for (const NodeId node : {3, 4}) {
+    ExperimentConfig config = small_config(Scheme::kAdc);
+    fault::CrashWindow window;
+    window.node = node;
+    window.at = 100;
+    config.fault_plan.crashes.push_back(window);
+    config.request_timeout = 1000;
+    EXPECT_NE(config.validate().find("crash window on node " + std::to_string(node)),
+              std::string::npos);
+    EXPECT_THROW(run_experiment(config, small_trace()), std::invalid_argument);
+  }
+}
+
+TEST(ExperimentValidate, RejectsEmptyDeploymentAndShortLoadFactors) {
+  ExperimentConfig empty = small_config(Scheme::kAdc);
+  empty.proxies = 0;
+  EXPECT_NE(empty.validate(), "");
+  ExperimentConfig carp = small_config(Scheme::kCarp);
+  carp.carp_load_factors = {1.0, 0.5};
+  EXPECT_NE(carp.validate(), "");
+  carp.carp_load_factors.push_back(1.0);
+  EXPECT_EQ(carp.validate(), "");
 }
 
 }  // namespace

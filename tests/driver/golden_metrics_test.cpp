@@ -6,8 +6,7 @@
 // plumbing changed, not just formatting.
 //
 // Regenerating after an *intentional* behavior change:
-//   ADC_GOLDEN_PRINT=1 ./build/tests/adc_tests_driver \
-//       --gtest_filter='GoldenMetrics*' 2>&1 | grep GOLDEN
+//   ADC_GOLDEN_PRINT=1 ./build/tests/adc_tests_driver --gtest_filter='GoldenMetrics*' 2>&1 | grep GOLDEN
 // then paste the printed values over the literals below and say why in
 // the commit message.
 #include <gtest/gtest.h>

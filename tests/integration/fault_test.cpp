@@ -19,7 +19,8 @@ workload::Trace fault_trace() {
   return workload::generate_polygraph_trace(config);
 }
 
-driver::ExperimentConfig faulty_config(driver::Scheme scheme, std::uint64_t at) {
+driver::ExperimentConfig faulty_config(driver::Scheme scheme, std::uint64_t at,
+                                       bool membership = false) {
   driver::ExperimentConfig config;
   config.scheme = scheme;
   config.proxies = 4;
@@ -30,35 +31,68 @@ driver::ExperimentConfig faulty_config(driver::Scheme scheme, std::uint64_t at) 
   config.sample_every = 250;
   config.fault.at_completed = at;
   config.fault.proxy_index = 1;
+  config.membership.swim.enabled = membership;
   return config;
+}
+
+void expect_run_completes_and_conserves(driver::Scheme scheme, bool membership) {
+  const auto trace = fault_trace();
+  const auto result =
+      driver::run_experiment(faulty_config(scheme, trace.size() / 2, membership), trace);
+  EXPECT_EQ(result.summary.completed, trace.size());
+  EXPECT_EQ(result.summary.hits + result.origin_served, trace.size());
+}
+
+void expect_fault_costs_hits(driver::Scheme scheme, bool membership) {
+  const auto trace = fault_trace();
+  driver::ExperimentConfig clean = faulty_config(scheme, trace.size() / 2, membership);
+  clean.fault.at_completed = 0;
+  const auto faulty =
+      driver::run_experiment(faulty_config(scheme, trace.size() / 2, membership), trace);
+  const auto baseline = driver::run_experiment(clean, trace);
+  EXPECT_LT(faulty.summary.hits, baseline.summary.hits);
+}
+
+std::string scheme_test_name(const ::testing::TestParamInfo<driver::Scheme>& info) {
+  return std::string(driver::scheme_name(info.param));
 }
 
 class FaultTest : public ::testing::TestWithParam<driver::Scheme> {};
 
 TEST_P(FaultTest, RunStillCompletesAndConserves) {
-  const auto trace = fault_trace();
-  const auto result = driver::run_experiment(faulty_config(GetParam(), trace.size() / 2), trace);
-  EXPECT_EQ(result.summary.completed, trace.size());
-  EXPECT_EQ(result.summary.hits + result.origin_served, trace.size());
+  expect_run_completes_and_conserves(GetParam(), /*membership=*/false);
 }
 
 TEST_P(FaultTest, FaultCostsHitsComparedToCleanRun) {
-  const auto trace = fault_trace();
-  driver::ExperimentConfig clean = faulty_config(GetParam(), trace.size() / 2);
-  clean.fault.at_completed = 0;
-  const auto faulty =
-      driver::run_experiment(faulty_config(GetParam(), trace.size() / 2), trace);
-  const auto baseline = driver::run_experiment(clean, trace);
-  EXPECT_LT(faulty.summary.hits, baseline.summary.hits);
+  expect_fault_costs_hits(GetParam(), /*membership=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, FaultTest,
                          ::testing::Values(driver::Scheme::kAdc, driver::Scheme::kCarp,
+                                           driver::Scheme::kConsistent,
+                                           driver::Scheme::kRendezvous,
                                            driver::Scheme::kHierarchical,
+                                           driver::Scheme::kCoordinator,
                                            driver::Scheme::kSoap),
-                         [](const auto& info) {
-                           return std::string(driver::scheme_name(info.param));
-                         });
+                         scheme_test_name);
+
+// The same fault with membership on: the victim is wrapped in a
+// MemberAgent, so the flush reaches the agent through the wrapper.
+class MemberFaultTest : public ::testing::TestWithParam<driver::Scheme> {};
+
+TEST_P(MemberFaultTest, RunStillCompletesAndConserves) {
+  expect_run_completes_and_conserves(GetParam(), /*membership=*/true);
+}
+
+TEST_P(MemberFaultTest, FaultCostsHitsComparedToCleanRun) {
+  expect_fault_costs_hits(GetParam(), /*membership=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, MemberFaultTest,
+                         ::testing::Values(driver::Scheme::kAdc, driver::Scheme::kCarp,
+                                           driver::Scheme::kConsistent,
+                                           driver::Scheme::kRendezvous),
+                         scheme_test_name);
 
 TEST(FaultRecovery, AdcDipsAgainstPairedCleanRunThenRecovers) {
   // ADC replicates hot objects, so losing one proxy's state produces only

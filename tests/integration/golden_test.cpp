@@ -5,8 +5,7 @@
 // changed the simulation — the paper reproduction — not just the code.
 //
 // Regenerating after an *intentional* behavior change:
-//   ADC_GOLDEN_PRINT=1 ./build/tests/adc_tests_integration \
-//       --gtest_filter='Golden*' 2>&1 | grep GOLDEN
+//   ADC_GOLDEN_PRINT=1 ./build/tests/adc_tests_integration --gtest_filter='Golden*' 2>&1 | grep GOLDEN
 // then paste the printed values over the literals below and say why in
 // the commit message.
 #include <gtest/gtest.h>

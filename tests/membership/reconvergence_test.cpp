@@ -29,8 +29,8 @@ struct Cluster {
   std::vector<MemberAgent*> agents;
 };
 
-/// Three ADC proxies (ids 0, 1, 2) wrapped in MemberAgents wired exactly
-/// the way the experiment driver wires them: deaths prune tables and
+/// Three ADC proxies (ids 0, 1, 2) wrapped in MemberAgents, which drive
+/// them through the ProxyAgent interface: deaths prune tables and
 /// forwarding membership, repair rounds offer resolver opinions.
 std::unique_ptr<Cluster> make_cluster() {
   auto cluster = std::make_unique<Cluster>();
@@ -43,13 +43,6 @@ std::unique_ptr<Cluster> make_cluster() {
                                                   aconfig, proxy_ids, /*origin=*/99);
     core::AdcProxy* proxy = inner.get();
     auto agent = std::make_unique<MemberAgent>(std::move(inner), proxy_ids, mconfig);
-    MemberAgent::Hooks hooks;
-    hooks.peer_dead = [proxy](NodeId peer) { proxy->handle_peer_dead(peer); };
-    hooks.peer_joined = [proxy](NodeId peer) { proxy->handle_peer_joined(peer); };
-    hooks.send_repair = [proxy](sim::Transport& net, NodeId peer, std::size_t batch) {
-      proxy->send_anti_entropy(net, peer, batch);
-    };
-    agent->set_hooks(std::move(hooks));
     cluster->proxies.push_back(proxy);
     cluster->agents.push_back(agent.get());
     const NodeId assigned = cluster->sim.add_node(std::move(agent));
@@ -128,7 +121,7 @@ TEST(Reconvergence, StaleClaimCannotOverwriteFresherOpinion) {
   // Offer the stale opinion to the fresh holder directly: it must be
   // rejected and countered.
   cluster->sim.schedule(100, [cluster = cluster.get()]() {
-    cluster->proxies[2]->send_anti_entropy(cluster->sim, 0, 8);
+    cluster->proxies[2]->send_repair(cluster->sim, 0, 8);
   });
   cluster->sim.run();
 

@@ -4,7 +4,7 @@
 // without membership; the wrapper routes SWIM control traffic to the
 // detector and everything else (requests, replies, repair opinions) to the
 // inner agent, and a periodic tick() — driven by the simulator's event
-// queue or the daemon's poll loop — advances probes, timeouts, and repair
+// queue or the daemon's event loop — advances probes, timeouts, and repair
 // rounds.
 //
 // Reactions to membership changes go through the sim::ProxyAgent

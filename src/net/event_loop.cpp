@@ -1,75 +1,98 @@
 #include "net/event_loop.h"
 
-#include <fcntl.h>
-#include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <vector>
 
 #include "net/socket.h"
 
 namespace adc::net {
+namespace {
 
-EventLoop::EventLoop() {
-  if (::pipe(wake_pipe_) == 0) {
-    set_nonblocking(wake_pipe_[0]);
-    set_nonblocking(wake_pipe_[1]);
+void set_interest(int epoll_fd, int fd, void* tag, bool want_write) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.data.ptr = tag;
+  // ADD for a new fd, MOD for one already in the set (a replaced handler).
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0 && errno == EEXIST) {
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);
   }
+}
+
+}  // namespace
+
+EventLoop::EventLoop()
+    : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)), wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  // The wake fd carries a null tag; every watched fd carries its Watch.
+  if (epoll_fd_ >= 0 && wake_fd_ >= 0) set_interest(epoll_fd_, wake_fd_, nullptr, false);
 }
 
 EventLoop::~EventLoop() {
-  close_fd(wake_pipe_[0]);
-  close_fd(wake_pipe_[1]);
+  close_fd(wake_fd_);
+  close_fd(epoll_fd_);
+}
+
+void EventLoop::retire(std::unique_ptr<Watch> watch) {
+  watch->live = false;
+  // Mid-round, the handler may be the one running; it dies at round end.
+  if (dispatching_) retired_.push_back(std::move(watch));
 }
 
 void EventLoop::watch(int fd, IoHandler handler) {
-  watches_[fd] = Watch{std::move(handler), false};
+  if (fd < 0) return;
+  if (static_cast<std::size_t>(fd) >= watches_.size()) watches_.resize(fd + 1);
+  std::unique_ptr<Watch>& slot = watches_[fd];
+  if (slot != nullptr) retire(std::move(slot));
+  slot = std::make_unique<Watch>();
+  slot->fd = fd;
+  slot->handler = std::move(handler);
+  set_interest(epoll_fd_, fd, slot.get(), false);
 }
 
-void EventLoop::unwatch(int fd) { watches_.erase(fd); }
+void EventLoop::unwatch(int fd) {
+  if (fd < 0 || static_cast<std::size_t>(fd) >= watches_.size()) return;
+  std::unique_ptr<Watch>& slot = watches_[fd];
+  if (slot == nullptr) return;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  retire(std::move(slot));
+}
 
 void EventLoop::request_write(int fd, bool enabled) {
-  const auto it = watches_.find(fd);
-  if (it != watches_.end()) it->second.want_write = enabled;
+  if (fd < 0 || static_cast<std::size_t>(fd) >= watches_.size()) return;
+  Watch* watch = watches_[fd].get();
+  if (watch == nullptr || watch->want_write == enabled) return;
+  watch->want_write = enabled;
+  set_interest(epoll_fd_, fd, watch, enabled);
 }
 
 int EventLoop::poll_once(int timeout_ms) {
-  std::vector<pollfd> fds;
-  fds.reserve(watches_.size() + 1);
-  fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-  for (const auto& [fd, watch] : watches_) {
-    short events = POLLIN;
-    if (watch.want_write) events |= POLLOUT;
-    fds.push_back(pollfd{fd, events, 0});
-  }
-
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int ready =
+      ::epoll_wait(epoll_fd_, events_.data(), static_cast<int>(events_.size()), timeout_ms);
   if (ready < 0) return errno == EINTR ? 0 : -1;
-  if (ready == 0) return 0;
-
-  if ((fds[0].revents & POLLIN) != 0) {
-    std::uint8_t drain[64];
-    while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-    }
-  }
 
   int dispatched = 0;
-  for (std::size_t i = 1; i < fds.size(); ++i) {
-    const pollfd& pfd = fds[i];
-    if (pfd.revents == 0) continue;
-    // A handler may unwatch fds (its own or others'); re-check membership
-    // so closed connections are never dispatched on stale readiness.
-    const auto it = watches_.find(pfd.fd);
-    if (it == watches_.end()) continue;
-    const bool readable = (pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
-    const bool writable = (pfd.revents & POLLOUT) != 0;
-    // Copy the handler: the handler may unwatch its own fd, destroying the
-    // map entry (and the std::function) mid-call.
-    const IoHandler handler = it->second.handler;
-    handler(pfd.fd, readable, writable);
+  dispatching_ = true;
+  for (int i = 0; i < ready; ++i) {
+    const epoll_event& ev = events_[i];
+    Watch* watch = static_cast<Watch*>(ev.data.ptr);
+    if (watch == nullptr) {
+      std::uint64_t drain = 0;
+      [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &drain, sizeof(drain));
+      continue;
+    }
+    // A handler earlier in this round may have unwatched this fd or
+    // dropped its write interest; honour the current state, not the
+    // readiness fetched before it changed.
+    if (!watch->live) continue;
+    const bool readable = (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0;
+    const bool writable = (ev.events & EPOLLOUT) != 0 && watch->want_write;
+    if (!readable && !writable) continue;
+    watch->handler(watch->fd, readable, writable);
     ++dispatched;
   }
+  dispatching_ = false;
+  retired_.clear();
   return dispatched;
 }
 
@@ -81,8 +104,8 @@ void EventLoop::run() {
 
 void EventLoop::stop() {
   stop_.store(true, std::memory_order_release);
-  const std::uint8_t byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 }  // namespace adc::net

@@ -160,8 +160,12 @@ DecodeResult Conn::next_frame(Frame* out, std::string* error) {
       decode_frame(in_.data() + in_cursor_, in_.size() - in_cursor_, &consumed, out, error);
   if (result == DecodeResult::kFrame) {
     in_cursor_ += consumed;
-    // Reclaim the consumed prefix once it dominates the buffer.
-    if (in_cursor_ > 64 * 1024 && in_cursor_ * 2 > in_.size()) {
+    // The usual case: every byte read so far was whole frames.
+    if (in_cursor_ == in_.size()) {
+      in_.clear();
+      in_cursor_ = 0;
+    } else if (in_cursor_ > 64 * 1024 && in_cursor_ * 2 > in_.size()) {
+      // Reclaim the consumed prefix once it dominates the buffer.
       in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(in_cursor_));
       in_cursor_ = 0;
     }
@@ -171,6 +175,12 @@ DecodeResult Conn::next_frame(Frame* out, std::string* error) {
 
 void Conn::queue(const std::uint8_t* data, std::size_t size) {
   out_.insert(out_.end(), data, data + size);
+}
+
+std::size_t Conn::queue_message(const WireMessage& wire) {
+  const std::size_t before = out_.size();
+  encode_message(wire, &out_);
+  return out_.size() - before;
 }
 
 Conn::Io Conn::flush() {

@@ -46,8 +46,9 @@ bool set_nonblocking(int fd);
 void close_fd(int fd);
 
 /// A buffered connection over a non-blocking fd.  Reads accumulate in an
-/// input buffer that next_frame() decodes incrementally; writes queue in
-/// an output buffer drained by flush() as the socket accepts bytes.
+/// input buffer that next_frame() decodes incrementally (and empties once
+/// every byte is consumed); writes queue in an output buffer drained by
+/// flush() as the socket accepts bytes.
 class Conn {
  public:
   /// Takes ownership of `fd` (closed by the destructor).
@@ -77,6 +78,10 @@ class Conn {
   /// Queues bytes (a pre-encoded frame) for writing.
   void queue(const std::uint8_t* data, std::size_t size);
   void queue(const std::vector<std::uint8_t>& bytes) { queue(bytes.data(), bytes.size()); }
+
+  /// Encodes `wire` straight into the output buffer, behind any bytes not
+  /// yet flushed.  Returns the frame's size on the wire.
+  std::size_t queue_message(const WireMessage& wire);
 
   /// Writes as much queued output as the socket accepts.
   Io flush();

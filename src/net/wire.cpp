@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <cstring>
+
 namespace adc::net {
 namespace {
 
@@ -17,31 +19,30 @@ constexpr std::size_t kMessageFixedBytes = 1 + 1 + 8 + 8 + 6 * 4 + 1 + 8 + 8 + 8
 // type(1) + wire_version(1) + node_kind(1) + node_id(4).
 constexpr std::size_t kHelloBytes = 7;
 
-void put_u8(std::vector<std::uint8_t>* out, std::uint8_t v) { out->push_back(v); }
-
-void put_u16(std::vector<std::uint8_t>* out, std::uint16_t v) {
-  out->push_back(static_cast<std::uint8_t>(v));
-  out->push_back(static_cast<std::uint8_t>(v >> 8));
+// Writers at a fixed offset into a buffer the caller already sized; the
+// byte-wise little-endian stores compile to single moves.
+void store_u16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
 }
 
-void put_u32(std::vector<std::uint8_t>* out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void put_u64(std::vector<std::uint8_t>* out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void put_i32(std::vector<std::uint8_t>* out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+void store_i32(std::uint8_t* p, std::int32_t v) { store_u32(p, static_cast<std::uint32_t>(v)); }
 
-void put_i64(std::vector<std::uint8_t>* out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
+void store_i64(std::uint8_t* p, std::int64_t v) { store_u64(p, static_cast<std::uint64_t>(v)); }
+
+/// Grows `out` by `size` bytes and returns where they start.
+std::uint8_t* append(std::vector<std::uint8_t>* out, std::size_t size) {
+  const std::size_t at = out->size();
+  out->resize(at + size);
+  return out->data() + at;
 }
 
 // Readers over a bounds-checked-by-caller cursor.
@@ -154,41 +155,46 @@ void encode_message(const WireMessage& wire, std::vector<std::uint8_t>* out) {
       wire.body.size() > kMaxBodyBytes ? kMaxBodyBytes : wire.body.size();
   const std::uint32_t payload_len =
       static_cast<std::uint32_t>(kMessageFixedBytes + body_len + 4 * keep);
-  out->reserve(out->size() + kLengthPrefixBytes + payload_len);
-  put_u32(out, payload_len);
-  put_u8(out, static_cast<std::uint8_t>(frame_type_for(wire.msg.kind)));
-  put_u8(out, kWireVersion);
-  put_u64(out, wire.msg.request_id);
-  put_u64(out, wire.msg.object);
-  put_i32(out, wire.msg.sender);
-  put_i32(out, wire.msg.target);
-  put_i32(out, wire.msg.client);
-  put_i32(out, wire.msg.forward_count);
-  put_i32(out, wire.msg.hops);
-  put_i32(out, wire.msg.resolver);
+  std::uint8_t* p = append(out, kLengthPrefixBytes + payload_len);
+  store_u32(p, payload_len);
+  p += kLengthPrefixBytes;
+  // Offsets are the decoder's, relative to the type byte.
+  p[0] = static_cast<std::uint8_t>(frame_type_for(wire.msg.kind));
+  p[1] = kWireVersion;
+  store_u64(p + 2, wire.msg.request_id);
+  store_u64(p + 10, wire.msg.object);
+  store_i32(p + 18, wire.msg.sender);
+  store_i32(p + 22, wire.msg.target);
+  store_i32(p + 26, wire.msg.client);
+  store_i32(p + 30, wire.msg.forward_count);
+  store_i32(p + 34, wire.msg.hops);
+  store_i32(p + 38, wire.msg.resolver);
   std::uint8_t flags = 0;
   if (wire.msg.cached) flags |= kFlagCached;
   if (wire.msg.proxy_hit) flags |= kFlagProxyHit;
   if (wire.msg.degraded) flags |= kFlagDegraded;
-  put_u8(out, flags);
-  put_u64(out, wire.msg.version);
-  put_u64(out, wire.msg.claim);
-  put_i64(out, wire.msg.issued_at);
-  put_u64(out, wire.msg.payload_bytes);
-  put_u64(out, wire.checksum);
-  put_u16(out, static_cast<std::uint16_t>(body_len));
-  put_u16(out, static_cast<std::uint16_t>(keep));
-  out->insert(out->end(), wire.body.begin(),
-              wire.body.begin() + static_cast<std::ptrdiff_t>(body_len));
-  for (std::size_t i = skip; i < wire.path.size(); ++i) put_i32(out, wire.path[i]);
+  p[42] = flags;
+  store_u64(p + 43, wire.msg.version);
+  store_u64(p + 51, wire.msg.claim);
+  store_i64(p + 59, wire.msg.issued_at);
+  store_u64(p + 67, wire.msg.payload_bytes);
+  store_u64(p + 75, wire.checksum);
+  store_u16(p + 83, static_cast<std::uint16_t>(body_len));
+  store_u16(p + 85, static_cast<std::uint16_t>(keep));
+  p += kMessageFixedBytes;
+  if (body_len > 0) std::memcpy(p, wire.body.data(), body_len);
+  p += body_len;
+  for (std::size_t i = skip; i < wire.path.size(); ++i, p += 4) store_i32(p, wire.path[i]);
 }
 
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>* out) {
-  put_u32(out, kHelloBytes);
-  put_u8(out, static_cast<std::uint8_t>(FrameType::kHello));
-  put_u8(out, kWireVersion);
-  put_u8(out, static_cast<std::uint8_t>(hello.kind));
-  put_i32(out, hello.node_id);
+  std::uint8_t* p = append(out, kLengthPrefixBytes + kHelloBytes);
+  store_u32(p, kHelloBytes);
+  p += kLengthPrefixBytes;
+  p[0] = static_cast<std::uint8_t>(FrameType::kHello);
+  p[1] = kWireVersion;
+  p[2] = static_cast<std::uint8_t>(hello.kind);
+  store_i32(p + 3, hello.node_id);
 }
 
 DecodeResult decode_frame(const std::uint8_t* data, std::size_t size, std::size_t* consumed,
@@ -210,8 +216,11 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t size, std::size_
       if (kind > static_cast<std::uint8_t>(sim::NodeKind::kOrigin)) {
         return fail(error, "HELLO with unknown node kind");
       }
-      *out = Frame{};
       out->type = FrameType::kHello;
+      out->message.msg = sim::Message{};
+      out->message.path.clear();
+      out->message.body.clear();
+      out->message.checksum = 0;
       out->hello.kind = static_cast<sim::NodeKind>(kind);
       out->hello.node_id = get_i32(p + 3);
       break;
@@ -240,8 +249,10 @@ DecodeResult decode_frame(const std::uint8_t* data, std::size_t size, std::size_
       if (payload_len != kMessageFixedBytes + body_len + 4u * path_len) {
         return fail(error, "payload size does not match body_len/path_len");
       }
-      *out = Frame{};
+      // Every field is overwritten; the vectors keep their capacity, so a
+      // Frame reused across a read loop stops allocating once warm.
       out->type = static_cast<FrameType>(type);
+      out->hello = Hello{};
       sim::Message& msg = out->message.msg;
       msg.kind = kind_for(out->type);
       msg.request_id = get_u64(p + 2);

@@ -146,9 +146,10 @@ struct Frame {
   Hello hello;
 };
 
-/// Appends a complete frame (prefix included) to `out`.  The frame type is
-/// derived from `wire.msg.kind`; paths longer than kMaxPath are truncated
-/// to the most recent kMaxPath entries.
+/// Appends a complete frame (prefix included) to `out`: one resize, then
+/// stores at fixed offsets.  The frame type is derived from
+/// `wire.msg.kind`; paths longer than kMaxPath are truncated to the most
+/// recent kMaxPath entries.
 void encode_message(const WireMessage& wire, std::vector<std::uint8_t>* out);
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>* out);
 
@@ -159,7 +160,10 @@ enum class DecodeResult {
 };
 
 /// Attempts to decode one frame from the front of [data, data + size).
-/// On kFrame, `*consumed` is the total encoded size (prefix + payload).
+/// On kFrame, `*consumed` is the total encoded size (prefix + payload) and
+/// every field of `*out` is overwritten; its vectors keep their capacity,
+/// so a caller decoding into one Frame in a loop allocates only while the
+/// longest path or body seen so far grows.
 DecodeResult decode_frame(const std::uint8_t* data, std::size_t size, std::size_t* consumed,
                           Frame* out, std::string* error = nullptr);
 

@@ -135,6 +135,7 @@ void NodeDaemon::run() {
     drain_egress();
     drive_membership();
     if (tick_) tick_();
+    flush_dirty();
   }
 }
 
@@ -172,6 +173,7 @@ void NodeDaemon::drop_conn(int fd) {
   for (auto it = routes_.begin(); it != routes_.end();) {
     it = it->second == fd ? routes_.erase(it) : std::next(it);
   }
+  dirty_.erase(std::remove(dirty_.begin(), dirty_.end(), fd), dirty_.end());
   conns_.erase(fd);  // closes the fd
 }
 
@@ -192,9 +194,9 @@ void NodeDaemon::on_conn_event(int fd, bool readable, bool writable) {
   if (!readable) return;
 
   const net::Conn::Io io = conn.read_some();
+  net::Frame& frame = rx_;
+  std::string error;
   for (;;) {
-    net::Frame frame;
-    std::string error;
     const net::DecodeResult result = conn.next_frame(&frame, &error);
     if (result == net::DecodeResult::kNeedMore) break;
     if (result == net::DecodeResult::kCorrupt) {
@@ -225,7 +227,7 @@ void NodeDaemon::on_conn_event(int fd, bool readable, bool writable) {
       continue;
     }
     if (!verify_body(frame.message)) continue;  // corrupt payload, frame dropped
-    deliver(std::move(frame.message));
+    deliver(frame.message.msg, frame.message.path);
     if (conns_.find(fd) == conns_.end()) return;  // delivery dropped us
   }
   if (io != net::Conn::Io::kOk) {
@@ -234,19 +236,28 @@ void NodeDaemon::on_conn_event(int fd, bool readable, bool writable) {
   }
 }
 
-void NodeDaemon::deliver(net::WireMessage wire) {
-  local_.push_back(std::move(wire));
-  if (draining_) return;
+void NodeDaemon::deliver(const sim::Message& msg, const std::vector<NodeId>& path) {
+  if (draining_) {
+    local_.push_back(net::WireMessage{msg, path, {}, 0});
+    return;
+  }
   draining_ = true;
+  dispatch(msg, path);
   while (!local_.empty()) {
-    net::WireMessage next = std::move(local_.front());
+    const net::WireMessage next = std::move(local_.front());
     local_.pop_front();
-    current_path_ = std::move(next.path);
-    if (current_path_.size() < net::kMaxPath) current_path_.push_back(config_.node_id);
-    ++stats_.deliveries;
-    node_->on_message(*this, next.msg);
+    dispatch(next.msg, next.path);
   }
   draining_ = false;
+}
+
+void NodeDaemon::dispatch(const sim::Message& msg, const std::vector<NodeId>& path) {
+  // Copy into the retained capacity; `path` is current_path_ itself when
+  // a send outside any delivery addressed this node.
+  if (&path != &current_path_) current_path_.assign(path.begin(), path.end());
+  if (current_path_.size() < net::kMaxPath) current_path_.push_back(config_.node_id);
+  ++stats_.deliveries;
+  node_->on_message(*this, msg);
 }
 
 void NodeDaemon::note_peer_down(NodeId peer) {
@@ -319,17 +330,38 @@ int NodeDaemon::fd_for(NodeId id) {
     }
   }
   note_peer_up(id);
-  auto conn = std::make_unique<net::Conn>(fd);
+  conns_.emplace(fd, std::make_unique<net::Conn>(fd));
+  routes_[id] = fd;
+  loop_.watch(fd, [this](int f, bool r, bool w) { on_conn_event(f, r, w); });
   std::vector<std::uint8_t> hello;
   net::encode_hello(net::Hello{config_.node_id,
                                config_.role == DaemonRole::kOrigin ? sim::NodeKind::kOrigin
                                                                    : sim::NodeKind::kProxy},
                     &hello);
-  conn->queue(hello);
-  conns_.emplace(fd, std::move(conn));
-  routes_[id] = fd;
-  loop_.watch(fd, [this](int f, bool r, bool w) { on_conn_event(f, r, w); });
+  conn_to_fill(fd).queue(hello);
   return fd;
+}
+
+net::Conn& NodeDaemon::conn_to_fill(int fd) {
+  net::Conn& conn = *conns_.at(fd);
+  // Output already pending means the connection is listed for this
+  // round's flush or waiting for write readiness; either drains it.
+  if (!conn.wants_write()) dirty_.push_back(fd);
+  return conn;
+}
+
+void NodeDaemon::flush_dirty() {
+  // A failed flush drops its connection, and the peer-down accounting may
+  // send (a SWIM suspicion); those frames list their connections anew, so
+  // repeat until a pass queues nothing.
+  while (!dirty_.empty()) {
+    flushing_.swap(dirty_);
+    for (const int fd : flushing_) {
+      const auto it = conns_.find(fd);
+      if (it != conns_.end()) flush_conn(fd, *it->second);
+    }
+    flushing_.clear();
+  }
 }
 
 void NodeDaemon::flush_conn(int fd, net::Conn& conn) {
@@ -349,7 +381,7 @@ void NodeDaemon::send(sim::Message msg) {
 
   // Chaos injection mirrors the simulator's hook placement: after hop
   // accounting, before routing.  Live chaos is drop/duplicate only; the
-  // poll loop keeps no timers, so extra-delay faults have no effect here.
+  // event loop keeps no timers, so extra-delay faults have no effect here.
   int duplicates = 0;
   if (chaos_ != nullptr) {
     const sim::FaultDecision fate = chaos_->on_send(msg, now());
@@ -358,12 +390,7 @@ void NodeDaemon::send(sim::Message msg) {
   }
 
   if (msg.target == config_.node_id) {
-    for (int copy = 0; copy <= duplicates; ++copy) {
-      net::WireMessage wire;
-      wire.msg = msg;
-      wire.path = current_path_;
-      deliver(std::move(wire));
-    }
+    for (int copy = 0; copy <= duplicates; ++copy) deliver(msg, current_path_);
     return;
   }
 
@@ -394,39 +421,45 @@ void NodeDaemon::send(sim::Message msg) {
     }
     return;
   }
-  std::vector<std::uint8_t> bytes;
-  net::WireMessage wire;
-  wire.msg = msg;
-  wire.path = current_path_;
-  materialize_body(wire);
-  net::encode_message(wire, &bytes);
+  // One reused frame: its path and body keep their capacity across sends.
+  tx_.msg = msg;
+  tx_.path = current_path_;
+  tx_.body.clear();
+  tx_.checksum = 0;
+  materialize_body(tx_);
 
   // A frame's accounted cost is the larger of its wire size and its
   // payload_bytes: the body on the wire is only a bounded sample, so
   // charging wire bytes alone would let a 256 KiB object slip through the
   // bucket for the price of one frame.  This keeps the live ceiling
   // comparable to the simulator's link model and the loadgen's bytes/s.
-  const std::uint64_t cost = std::max<std::uint64_t>(bytes.size(), msg.payload_bytes);
+  const auto cost_of = [&msg](std::size_t frame_bytes) {
+    return std::max<std::uint64_t>(frame_bytes, msg.payload_bytes);
+  };
   const bool pace = config_.egress_bytes_per_sec > 0 && !sim::is_swim_kind(msg.kind);
   for (int copy = 0; copy <= duplicates; ++copy) {
-    if (pace) {
-      egress_refill();
-      // FIFO: once anything waits, everything paced waits behind it.
-      if (!egress_q_.empty() || egress_tokens_ < 0.0) {
-        egress_q_.push_back(PendingFrame{msg.target, bytes, cost});
-        egress_queued_bytes_ += cost;
-        ++stats_.egress_paced_frames;
-        stats_.egress_paced_bytes += cost;
-        continue;
-      }
-      // Debt semantics: a frame goes out whenever the bucket is
-      // non-negative and may overdraw it, so frames larger than the
-      // bucket capacity still pass (and repay before the next one).
-      egress_tokens_ -= static_cast<double>(cost);
+    if (!pace) {
+      const std::size_t frame_bytes = conn_to_fill(fd).queue_message(tx_);
+      count_frame_out(msg.target, cost_of(frame_bytes));
+      continue;
     }
-    queue_to_wire(msg.target, fd, bytes, cost);
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) return;  // flush inside queue_to_wire dropped it
+    PendingFrame frame{msg.target, {}, 0};
+    net::encode_message(tx_, &frame.bytes);
+    frame.cost = cost_of(frame.bytes.size());
+    egress_refill();
+    // FIFO: once anything waits, everything paced waits behind it.
+    if (!egress_q_.empty() || egress_tokens_ < 0.0) {
+      egress_queued_bytes_ += frame.cost;
+      ++stats_.egress_paced_frames;
+      stats_.egress_paced_bytes += frame.cost;
+      egress_q_.push_back(std::move(frame));
+      continue;
+    }
+    // Debt semantics: a frame goes out whenever the bucket is
+    // non-negative and may overdraw it, so frames larger than the
+    // bucket capacity still pass (and repay before the next one).
+    egress_tokens_ -= static_cast<double>(frame.cost);
+    queue_to_wire(fd, frame);
   }
 }
 
@@ -444,13 +477,14 @@ void NodeDaemon::egress_refill() {
                static_cast<double>(egress_burst()));
 }
 
-void NodeDaemon::queue_to_wire(NodeId target, int fd, const std::vector<std::uint8_t>& bytes,
-                               std::uint64_t cost) {
-  net::Conn& conn = *conns_.at(fd);
-  conn.queue(bytes);
+void NodeDaemon::queue_to_wire(int fd, const PendingFrame& frame) {
+  conn_to_fill(fd).queue(frame.bytes);
+  count_frame_out(frame.target, frame.cost);
+}
+
+void NodeDaemon::count_frame_out(NodeId target, std::uint64_t cost) {
   ++stats_.frames_out;
   peer_bytes_out_[target] += cost;
-  flush_conn(fd, conn);  // may drop the conn on error
 }
 
 void NodeDaemon::drain_egress() {
@@ -468,7 +502,7 @@ void NodeDaemon::drain_egress() {
       continue;
     }
     egress_tokens_ -= static_cast<double>(frame.cost);
-    queue_to_wire(frame.target, fd, frame.bytes, frame.cost);
+    queue_to_wire(fd, frame);
   }
 }
 

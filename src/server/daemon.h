@@ -78,7 +78,7 @@ struct DaemonConfig {
 
   /// Chaos injection on this daemon's outbound sends.  Only the
   /// probabilistic drop/duplicate faults apply live — extra delay would
-  /// need timers the poll loop does not keep, and crash windows are the
+  /// need timers the event loop does not keep, and crash windows are the
   /// operator's job (kill the process).  Zero plan (default) = no chaos.
   fault::FaultPlan fault_plan;
 
@@ -154,9 +154,10 @@ class NodeDaemon final : public sim::Transport {
   /// first and distribute the resulting map before any daemon runs.
   void set_peers(std::map<NodeId, net::Endpoint> peers) { config_.peers = std::move(peers); }
 
-  /// Serves until stop().  `tick`, when set, runs every poll timeout
-  /// (~500ms) on the loop thread — the signal-safe hook main() uses to
-  /// turn a sig_atomic_t flag into a stats dump or shutdown.
+  /// Serves until stop().  `tick`, when set, runs on the loop thread after
+  /// every loop round (at the latest one idle poll timeout, 100-500ms,
+  /// after the last) — the signal-safe hook main() uses to turn a
+  /// sig_atomic_t flag into a stats dump or shutdown.
   void run();
   void set_tick(std::function<void()> tick) { tick_ = std::move(tick); }
 
@@ -229,7 +230,18 @@ class NodeDaemon final : public sim::Transport {
   void on_listener_readable();
   void on_conn_event(int fd, bool readable, bool writable);
   void drop_conn(int fd);
-  void deliver(net::WireMessage wire);
+
+  /// Hands a message to the hosted node with `path` as its journey so far.
+  /// Called from inside a delivery (a proxy forwarding to itself), it
+  /// queues instead, so on_message never recurses.
+  void deliver(const sim::Message& msg, const std::vector<NodeId>& path);
+  void dispatch(const sim::Message& msg, const std::vector<NodeId>& path);
+
+  /// The connection on `fd`, listed for this round's flush if it had no
+  /// output pending.  Frames are only queued during a round; flush_dirty()
+  /// writes each listed connection once, after the round's last send.
+  net::Conn& conn_to_fill(int fd);
+  void flush_dirty();
   void flush_conn(int fd, net::Conn& conn);
 
   /// Connection that can reach `id`.  The first-ever dial to a configured
@@ -263,13 +275,24 @@ class NodeDaemon final : public sim::Transport {
   /// means the sample or checksum mismatched and the frame must be dropped.
   bool verify_body(const net::WireMessage& wire);
 
+  /// Egress pacing: frames the token bucket could not cover yet, in send
+  /// order.  Targets are re-resolved at drain time (the peer may have died
+  /// while the frame waited).
+  struct PendingFrame {
+    NodeId target = kInvalidNode;
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t cost = 0;  // accounted bytes charged to the bucket
+  };
+
   /// Token bucket: refills from wall time, hands a frame to its
   /// connection, and drains the pending queue while credit lasts.
   void egress_refill();
-  void queue_to_wire(NodeId target, int fd, const std::vector<std::uint8_t>& bytes,
-                     std::uint64_t cost);
+  void queue_to_wire(int fd, const PendingFrame& frame);
   void drain_egress();
   std::uint64_t egress_burst() const noexcept;
+
+  /// Counts one frame queued to `target`, charged `cost` accounted bytes.
+  void count_frame_out(NodeId target, std::uint64_t cost);
 
   DaemonConfig config_;
   util::Rng rng_;
@@ -293,6 +316,16 @@ class NodeDaemon final : public sim::Transport {
   std::map<int, std::unique_ptr<net::Conn>> conns_;
   std::map<NodeId, int> routes_;  // node id -> connection fd
 
+  /// Connections with output queued this round, each listed once;
+  /// `flushing_` is the pass flush_dirty() is writing.
+  std::vector<int> dirty_;
+  std::vector<int> flushing_;
+
+  /// Reused frame buffers: inbound frames decode into rx_, outbound
+  /// frames are built in tx_, so neither allocates once warm.
+  net::Frame rx_;
+  net::WireMessage tx_;
+
   /// Self-addressed messages queue here and drain in delivery order, so a
   /// proxy forwarding to itself never recurses through on_message.
   std::deque<net::WireMessage> local_;
@@ -302,14 +335,6 @@ class NodeDaemon final : public sim::Transport {
   /// frame that delivery sends.
   std::vector<NodeId> current_path_;
 
-  /// Egress pacing: frames the token bucket could not cover yet, in send
-  /// order.  Targets are re-resolved at drain time (the peer may have died
-  /// while the frame waited).
-  struct PendingFrame {
-    NodeId target = kInvalidNode;
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t cost = 0;  // accounted bytes charged to the bucket
-  };
   std::deque<PendingFrame> egress_q_;
   std::uint64_t egress_queued_bytes_ = 0;
   double egress_tokens_ = 0.0;

@@ -250,10 +250,8 @@ bool LoadGenerator::issue_next() {
 
   net::WireMessage wire;
   wire.msg = request;
-  std::vector<std::uint8_t> bytes;
-  net::encode_message(wire, &bytes);
   net::Conn& conn = *conns_.at(fd);
-  conn.queue(bytes);
+  conn.queue_message(wire);
   const net::Conn::Io io = conn.flush();
   if (io != net::Conn::Io::kOk) {
     if (io == net::Conn::Io::kError) ++errors_.write_errors;
@@ -347,9 +345,9 @@ void LoadGenerator::on_conn_event(int fd, bool readable, bool writable) {
   if (!readable) return;
 
   const net::Conn::Io io = conn.read_some();
+  net::Frame& frame = rx_;
+  std::string error;
   for (;;) {
-    net::Frame frame;
-    std::string error;
     const net::DecodeResult result = conn.next_frame(&frame, &error);
     if (result == net::DecodeResult::kNeedMore) break;
     if (result == net::DecodeResult::kCorrupt) {

@@ -218,6 +218,7 @@ class LoadGenerator {
   net::EventLoop loop_;
   std::map<int, std::unique_ptr<net::Conn>> conns_;
   std::map<NodeId, int> routes_;
+  net::Frame rx_;  // reused by every read loop, so replies decode without allocating
   fault::PeerHealth health_;
 
   const std::vector<ObjectId>* objects_ = nullptr;

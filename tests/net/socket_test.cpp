@@ -1,8 +1,12 @@
 #include "net/socket.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "net/event_loop.h"
 
@@ -147,6 +151,107 @@ TEST(EventLoop, UnwatchInsideHandlerIsSafe) {
   EXPECT_EQ(calls, 1);
   close_fd(client);
   close_fd(listener);
+}
+
+/// A connected non-blocking AF_UNIX stream pair, closed on destruction.
+struct SocketPair {
+  SocketPair() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    set_nonblocking(fds[0]);
+    set_nonblocking(fds[1]);
+  }
+  ~SocketPair() {
+    close_fd(fds[0]);
+    close_fd(fds[1]);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+
+  /// Makes fds[0] readable.
+  void poke() const {
+    const char byte = 'x';
+    EXPECT_EQ(::write(fds[1], &byte, 1), 1);
+  }
+
+  int fds[2] = {-1, -1};
+};
+
+TEST(EventLoop, WritableIsDispatchedOnlyWhileRequested) {
+  SocketPair pair;
+  EventLoop loop;
+  int writable_calls = 0;
+  int calls = 0;
+  loop.watch(pair.fds[0], [&](int, bool, bool writable) {
+    ++calls;
+    if (writable) ++writable_calls;
+  });
+
+  // An idle, writable socket with no write interest is never dispatched.
+  EXPECT_EQ(loop.poll_once(10), 0);
+  EXPECT_EQ(calls, 0);
+
+  loop.request_write(pair.fds[0], true);
+  EXPECT_EQ(loop.poll_once(10), 1);
+  EXPECT_EQ(writable_calls, 1);
+  // Level-triggered: still writable, still requested, dispatched again.
+  EXPECT_EQ(loop.poll_once(10), 1);
+  EXPECT_EQ(writable_calls, 2);
+
+  loop.request_write(pair.fds[0], false);
+  EXPECT_EQ(loop.poll_once(10), 0);
+  EXPECT_EQ(calls, 2);
+}
+
+TEST(EventLoop, WatchingAWatchedFdReplacesItsHandler) {
+  SocketPair pair;
+  EventLoop loop;
+  int first = 0;
+  int second = 0;
+  loop.watch(pair.fds[0], [&](int, bool, bool) { ++first; });
+  loop.watch(pair.fds[0], [&](int, bool, bool) { ++second; });
+  pair.poke();
+  EXPECT_EQ(loop.poll_once(1000), 1);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(EventLoop, HandlerUnwatchingAnotherReadyFdStopsItsDispatch) {
+  SocketPair a;
+  SocketPair b;
+  a.poke();
+  b.poke();
+  EventLoop loop;
+  int a_calls = 0;
+  int b_calls = 0;
+  // Whichever fd epoll reports first unwatches the other, which is also
+  // ready in this round and must not be dispatched.
+  loop.watch(a.fds[0], [&](int, bool, bool) {
+    ++a_calls;
+    loop.unwatch(b.fds[0]);
+  });
+  loop.watch(b.fds[0], [&](int, bool, bool) {
+    ++b_calls;
+    loop.unwatch(a.fds[0]);
+  });
+  EXPECT_EQ(loop.poll_once(1000), 1);
+  EXPECT_EQ(a_calls + b_calls, 1);
+  // Both stay readable: the survivor is dispatched again, the other never.
+  EXPECT_EQ(loop.poll_once(10), 1);
+  EXPECT_TRUE((a_calls == 2 && b_calls == 0) || (a_calls == 0 && b_calls == 2))
+      << "a=" << a_calls << " b=" << b_calls;
+}
+
+TEST(EventLoop, StopFromAnotherThreadWakesABlockedPoll) {
+  EventLoop loop;
+  std::thread stopper([&loop]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    loop.stop();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_GE(loop.poll_once(-1), 0);
+  stopper.join();
+  EXPECT_TRUE(loop.stopped());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
 }
 
 }  // namespace

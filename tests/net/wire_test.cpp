@@ -5,10 +5,12 @@
 #include "net/wire.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstddef>
 #include <vector>
 
+#include "net/socket.h"
 #include "util/rng.h"
 
 namespace adc::net {
@@ -150,6 +152,202 @@ TEST(Wire, ClaimByteLayoutIsPinned) {
   ASSERT_EQ(decode_frame(bytes.data(), bytes.size(), &consumed, &decoded), DecodeResult::kFrame);
   EXPECT_EQ(decoded.message.msg.claim, 0x0123456789ABCD00ULL);
   EXPECT_EQ(decoded.message.msg.object, original.msg.object);
+}
+
+// Golden v2 frames.  Every fixed field holds a distinct value, so a field
+// written at the wrong offset, in the wrong byte order or at the wrong
+// width changes these bytes; they are spelled out by hand from the layout
+// in wire.h, not captured from the encoder.
+WireMessage golden_request() {
+  WireMessage wire;
+  wire.msg.kind = sim::MessageKind::kRequest;
+  wire.msg.request_id = 0x0102030405060708ULL;
+  wire.msg.object = 0x1112131415161718ULL;
+  wire.msg.sender = 0x21222324;
+  wire.msg.target = 0x31323334;
+  wire.msg.client = 0x41424344;
+  wire.msg.forward_count = 5;
+  wire.msg.hops = 6;
+  wire.msg.resolver = -2;
+  wire.msg.cached = true;
+  wire.msg.degraded = true;
+  wire.msg.version = 0x5152535455565758ULL;
+  wire.msg.claim = 0x6162636465666768ULL;
+  wire.msg.issued_at = 0x7172737475767778LL;
+  wire.msg.payload_bytes = 0x8182838485868788ULL;
+  wire.checksum = 0x9192939495969798ULL;
+  wire.path = {7, 0x0A0B0C0D, -1};
+  return wire;
+}
+
+const std::vector<std::uint8_t> kGoldenRequestBytes = {
+    0x63, 0x00, 0x00, 0x00,                          // payload_len 99 = 87 + 3 * 4
+    0x01,                                            // type REQUEST
+    0x02,                                            // wire_version
+    0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // request_id
+    0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // object
+    0x24, 0x23, 0x22, 0x21,                          // sender
+    0x34, 0x33, 0x32, 0x31,                          // target
+    0x44, 0x43, 0x42, 0x41,                          // client
+    0x05, 0x00, 0x00, 0x00,                          // forward_count
+    0x06, 0x00, 0x00, 0x00,                          // hops
+    0xFE, 0xFF, 0xFF, 0xFF,                          // resolver -2
+    0x05,                                            // flags cached | degraded
+    0x58, 0x57, 0x56, 0x55, 0x54, 0x53, 0x52, 0x51,  // version
+    0x68, 0x67, 0x66, 0x65, 0x64, 0x63, 0x62, 0x61,  // claim
+    0x78, 0x77, 0x76, 0x75, 0x74, 0x73, 0x72, 0x71,  // issued_at
+    0x88, 0x87, 0x86, 0x85, 0x84, 0x83, 0x82, 0x81,  // payload_bytes
+    0x98, 0x97, 0x96, 0x95, 0x94, 0x93, 0x92, 0x91,  // payload_checksum
+    0x00, 0x00,                                      // body_len
+    0x03, 0x00,                                      // path_len
+    0x07, 0x00, 0x00, 0x00,                          // path[0] 7
+    0x0D, 0x0C, 0x0B, 0x0A,                          // path[1]
+    0xFF, 0xFF, 0xFF, 0xFF,                          // path[2] -1
+};
+
+WireMessage golden_reply() {
+  WireMessage wire;
+  wire.msg.kind = sim::MessageKind::kReply;
+  wire.msg.request_id = 9;
+  wire.msg.object = 300;
+  wire.msg.sender = 4;
+  wire.msg.target = 6;
+  wire.msg.client = 6;
+  wire.msg.hops = 3;
+  wire.msg.resolver = 4;
+  wire.msg.proxy_hit = true;
+  wire.msg.payload_bytes = 5;
+  wire.body = {0xDE, 0xAD, 0xBE, 0xEF, 0x00};
+  wire.checksum = 0x0123456789ABCDEFULL;
+  wire.path = {6};
+  return wire;
+}
+
+const std::vector<std::uint8_t> kGoldenReplyBytes = {
+    0x60, 0x00, 0x00, 0x00,                          // payload_len 96 = 87 + 5 + 4
+    0x02,                                            // type REPLY
+    0x02,                                            // wire_version
+    0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request_id
+    0x2C, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // object 300
+    0x04, 0x00, 0x00, 0x00,                          // sender
+    0x06, 0x00, 0x00, 0x00,                          // target
+    0x06, 0x00, 0x00, 0x00,                          // client
+    0x00, 0x00, 0x00, 0x00,                          // forward_count
+    0x03, 0x00, 0x00, 0x00,                          // hops
+    0x04, 0x00, 0x00, 0x00,                          // resolver
+    0x02,                                            // flags proxy_hit
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // version
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // claim
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // issued_at
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_bytes
+    0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // payload_checksum
+    0x05, 0x00,                                      // body_len
+    0x01, 0x00,                                      // path_len
+    0xDE, 0xAD, 0xBE, 0xEF, 0x00,                    // body sample
+    0x06, 0x00, 0x00, 0x00,                          // path[0] 6
+};
+
+TEST(Wire, GoldenRequestBytesArePinned) {
+  std::vector<std::uint8_t> bytes;
+  encode_message(golden_request(), &bytes);
+  EXPECT_EQ(bytes, kGoldenRequestBytes);
+
+  Frame decoded;
+  std::size_t consumed = 0;
+  ASSERT_EQ(decode_frame(kGoldenRequestBytes.data(), kGoldenRequestBytes.size(), &consumed,
+                         &decoded),
+            DecodeResult::kFrame);
+  EXPECT_EQ(consumed, kGoldenRequestBytes.size());
+  expect_equal(decoded.message, golden_request());
+}
+
+TEST(Wire, GoldenReplyBytesArePinned) {
+  std::vector<std::uint8_t> bytes;
+  encode_message(golden_reply(), &bytes);
+  EXPECT_EQ(bytes, kGoldenReplyBytes);
+
+  Frame decoded;
+  std::size_t consumed = 0;
+  ASSERT_EQ(decode_frame(kGoldenReplyBytes.data(), kGoldenReplyBytes.size(), &consumed,
+                         &decoded),
+            DecodeResult::kFrame);
+  EXPECT_EQ(consumed, kGoldenReplyBytes.size());
+  expect_equal(decoded.message, golden_reply());
+}
+
+TEST(Wire, EncodeAppendsAfterExistingBytes) {
+  // encode_message appends: whatever the buffer held stays in front.
+  std::vector<std::uint8_t> bytes = {0xAA, 0xBB, 0xCC};
+  encode_message(golden_request(), &bytes);
+  encode_message(golden_reply(), &bytes);
+  std::vector<std::uint8_t> expected = {0xAA, 0xBB, 0xCC};
+  expected.insert(expected.end(), kGoldenRequestBytes.begin(), kGoldenRequestBytes.end());
+  expected.insert(expected.end(), kGoldenReplyBytes.begin(), kGoldenReplyBytes.end());
+  EXPECT_EQ(bytes, expected);
+}
+
+/// Reads whatever `fd` holds right now and appends it to `out`.
+void drain_into(int fd, std::vector<std::uint8_t>* out) {
+  std::uint8_t chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return;
+    out->insert(out->end(), chunk, chunk + n);
+  }
+}
+
+TEST(Wire, QueueMessageAppendsTheGoldenBytes) {
+  int pair[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_TRUE(set_nonblocking(pair[0]));
+  ASSERT_TRUE(set_nonblocking(pair[1]));
+  Conn writer(pair[0]);
+  Conn reader(pair[1]);
+
+  EXPECT_EQ(writer.queue_message(golden_request()), kGoldenRequestBytes.size());
+  EXPECT_EQ(writer.queue_message(golden_reply()), kGoldenReplyBytes.size());
+  ASSERT_EQ(writer.flush(), Conn::Io::kOk);
+  ASSERT_FALSE(writer.wants_write());
+
+  std::vector<std::uint8_t> received;
+  drain_into(reader.fd(), &received);
+  std::vector<std::uint8_t> expected = kGoldenRequestBytes;
+  expected.insert(expected.end(), kGoldenReplyBytes.begin(), kGoldenReplyBytes.end());
+  EXPECT_EQ(received, expected);
+}
+
+TEST(Wire, QueueMessageAppendsBehindAPartlyFlushedBuffer) {
+  int pair[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_TRUE(set_nonblocking(pair[0]));
+  ASSERT_TRUE(set_nonblocking(pair[1]));
+  Conn writer(pair[0]);
+  Conn reader(pair[1]);
+
+  // More filler than the socket buffers hold: the flush stops part-way,
+  // leaving the output buffer with a sent prefix and an unsent tail.
+  std::vector<std::uint8_t> filler(4 * 1024 * 1024);
+  for (std::size_t i = 0; i < filler.size(); ++i) filler[i] = static_cast<std::uint8_t>(i * 7);
+  writer.queue(filler);
+  ASSERT_EQ(writer.flush(), Conn::Io::kOk);
+  ASSERT_TRUE(writer.wants_write());
+
+  EXPECT_EQ(writer.queue_message(golden_request()), kGoldenRequestBytes.size());
+  EXPECT_EQ(writer.queue_message(golden_reply()), kGoldenReplyBytes.size());
+
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 100000 && writer.wants_write(); ++i) {
+    drain_into(reader.fd(), &received);
+    ASSERT_EQ(writer.flush(), Conn::Io::kOk);
+  }
+  ASSERT_FALSE(writer.wants_write());
+  drain_into(reader.fd(), &received);
+
+  std::vector<std::uint8_t> expected = filler;
+  expected.insert(expected.end(), kGoldenRequestBytes.begin(), kGoldenRequestBytes.end());
+  expected.insert(expected.end(), kGoldenReplyBytes.begin(), kGoldenReplyBytes.end());
+  ASSERT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected);
 }
 
 TEST(Wire, ClaimSurvivesDecodeReEncode) {

@@ -10,7 +10,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -18,6 +17,7 @@
 #include "driver/parallel.h"
 #include "driver/report.h"
 #include "driver/sweep.h"
+#include "util/cli.h"
 #include "util/string_util.h"
 #include "workload/polygraph.h"
 
@@ -33,52 +33,14 @@ inline double bench_scale() {
   return 0.1;
 }
 
-/// Finds `--name VALUE` / `--name=VALUE` in a bench binary's argv and
-/// returns the raw value, or nullopt when the flag is absent.  `name`
-/// carries no leading dashes.
-inline std::optional<std::string_view> bench_flag(int argc, const char* const* argv,
-                                                  std::string_view name) {
-  const std::string separate = "--" + std::string(name);
-  const std::string inline_form = separate + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == separate && i + 1 < argc) return std::string_view(argv[i + 1]);
-    if (arg.rfind(inline_form, 0) == 0) return arg.substr(inline_form.size());
-  }
-  return std::nullopt;
-}
-
-/// Parses `--workers N` / `--workers=N` from a bench binary's argv.
-/// Absent or unparsable: returns `fallback`, which
-/// driver::resolve_workers() maps 0 -> hardware concurrency.  `--workers
-/// 1` preserves the serial path; any other count produces bit-identical
-/// metrics (modulo wall_seconds) — the determinism test in
-/// tests/driver/parallel_test.cpp enforces it.
-inline int bench_workers(int argc, const char* const* argv, int fallback = 0) {
-  if (const auto value = bench_flag(argc, argv, "workers")) {
-    if (const auto parsed = util::parse_int(*value)) return static_cast<int>(*parsed);
-    std::cerr << "ignoring unparsable --workers '" << *value << "'\n";
-  }
-  return fallback;
-}
-
-/// Parses `--json PATH`: where the bench writes its result grid as a JSON
-/// array of flat objects (driver::write_json_rows).  Empty = stdout only.
-inline std::string bench_json_path(int argc, const char* const* argv) {
-  if (const auto value = bench_flag(argc, argv, "json")) return std::string(*value);
-  return {};
-}
-
-/// Parses `--scale N`: a workload multiplier applied on top of
-/// ADC_BENCH_SCALE (N > 1 grows the trace past the paper's 3.99M requests
-/// for planet-scale runs; PolygraphConfig::scaled accepts factors above 1).
-inline double bench_extra_scale(int argc, const char* const* argv, double fallback = 1.0) {
-  if (const auto value = bench_flag(argc, argv, "scale")) {
-    if (const auto parsed = util::parse_double(*value); parsed && *parsed > 0.0) return *parsed;
-    std::cerr << "ignoring unparsable --scale '" << *value << "'\n";
-  }
-  return fallback;
-}
+/// Help text of the flags several benches bind (see util::CliParser).
+/// --workers 0 means hardware concurrency and 1 the serial path; any count
+/// produces bit-identical metrics (modulo wall_seconds), which
+/// tests/driver/parallel_test.cpp enforces.
+inline constexpr const char* kWorkersHelp =
+    "parallel simulation runs (0 = hardware concurrency, 1 = serial)";
+inline constexpr const char* kJsonHelp =
+    "also write the result grid as a JSON array of flat objects to this path";
 
 inline std::size_t scaled_size(std::size_t paper_value, double scale) {
   const auto scaled = static_cast<std::size_t>(static_cast<double>(paper_value) * scale);

@@ -39,9 +39,19 @@ struct Scenario {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = bench::bench_scale() * bench::bench_extra_scale(argc, argv);
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
-  const std::string json_path = bench::bench_json_path(argc, argv);
+  int workers = 0;
+  std::string json_path;
+  double extra_scale = 1.0;
+  util::CliParser cli("Extension: adversarial workloads (hash-flood, flash-crowd, diurnal).");
+  cli.bind("workers", &workers, bench::kWorkersHelp)
+      .bind("json", &json_path, bench::kJsonHelp)
+      .bind("scale", &extra_scale,
+            "workload multiplier on top of ADC_BENCH_SCALE (>1 grows past the paper's trace)",
+            {1e-6, 1e6});
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+  workers = driver::resolve_workers(workers);
+
+  const double scale = bench::bench_scale() * extra_scale;
   const auto requests = static_cast<std::uint64_t>(3'990'000 * scale);
 
   std::cout << "# Extension: adversarial workloads (hash-flood, flash-crowd, diurnal), scale="

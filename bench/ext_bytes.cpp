@@ -38,12 +38,17 @@ std::string mb(std::uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int workers = 0;
+  std::string json_path;
+  util::CliParser cli("Extension: payload bytes, size-aware policies, erasure tier.");
+  cli.bind("workers", &workers, bench::kWorkersHelp)
+      .bind("json", &json_path, bench::kJsonHelp);
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+
   const double scale = bench::bench_scale();
   const workload::Trace trace = bench::paper_trace(scale);
   bench::print_run_banner("Extension: payload bytes, size-aware policies, erasure tier", scale,
                           trace);
-  const int workers = bench::bench_workers(argc, argv);
-  const std::string json_path = bench::bench_json_path(argc, argv);
   std::vector<std::vector<driver::JsonField>> json_rows;
 
   const std::vector<driver::Scheme> schemes = {

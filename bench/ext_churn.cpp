@@ -46,10 +46,14 @@ struct ChurnSchedule {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int workers = 0;
+  util::CliParser cli("Extension: message loss x proxy churn.");
+  cli.bind("workers", &workers, bench::kWorkersHelp);
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+
   const double scale = bench::bench_scale();
   const workload::Trace trace = bench::paper_trace(scale);
   bench::print_run_banner("Extension: message loss x proxy churn", scale, trace);
-  const int workers = bench::bench_workers(argc, argv);
 
   const std::vector<driver::Scheme> schemes = {driver::Scheme::kAdc, driver::Scheme::kCarp};
   const std::vector<double> losses = {0.0, 0.02, 0.05};

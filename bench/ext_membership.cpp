@@ -43,11 +43,15 @@ double window_mean(const std::vector<sim::SeriesPoint>& series, std::uint64_t be
 }  // namespace
 
 int main(int argc, char** argv) {
+  int workers = 0;
+  util::CliParser cli("Extension: membership vs static view under permanent loss.");
+  cli.bind("workers", &workers, bench::kWorkersHelp);
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+
   const double scale = bench::bench_scale();
   const workload::Trace trace = bench::paper_trace(scale);
   bench::print_run_banner("Extension: membership vs static view under permanent loss", scale,
                           trace);
-  const int workers = bench::bench_workers(argc, argv);
 
   const std::vector<driver::Scheme> schemes = {driver::Scheme::kAdc, driver::Scheme::kCarp};
   constexpr double kCrashAt = 0.35;  // fraction of the healthy simulated run

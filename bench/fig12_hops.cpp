@@ -11,8 +11,16 @@
 int main(int argc, char** argv) {
   using namespace adc;
 
+  // Serial by default: the two runs in parallel double the peak memory at
+  // paper scale.
+  int workers = 1;
+  std::string json_path;
+  util::CliParser cli("Figure 12: average hops, ADC vs hashing (CARP).");
+  cli.bind("workers", &workers, bench::kWorkersHelp)
+      .bind("json", &json_path, bench::kJsonHelp);
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+
   const double scale = bench::bench_scale();
-  const std::string json_path = bench::bench_json_path(argc, argv);
   const workload::Trace trace = bench::paper_trace(scale);
   bench::print_run_banner("Figure 12: hops, ADC vs hashing", scale, trace);
 
@@ -20,8 +28,9 @@ int main(int argc, char** argv) {
   driver::ExperimentConfig carp_config = adc_config;
   carp_config.scheme = driver::Scheme::kCarp;
 
-  const driver::ExperimentResult adc_result = driver::run_experiment(adc_config, trace);
-  const driver::ExperimentResult carp_result = driver::run_experiment(carp_config, trace);
+  const auto results = driver::run_parallel({adc_config, carp_config}, trace, workers);
+  const driver::ExperimentResult& adc_result = results[0];
+  const driver::ExperimentResult& carp_result = results[1];
 
   driver::print_series_csv(std::cout, "adc", adc_result.series);
   driver::print_series_csv(std::cout, "carp", carp_result.series);

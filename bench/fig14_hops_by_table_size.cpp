@@ -11,8 +11,13 @@
 int main(int argc, char** argv) {
   using namespace adc;
 
+  int workers = 0;
+  util::CliParser cli("Figure 14: hops by table size.");
+  cli.bind("workers", &workers, bench::kWorkersHelp);
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+  workers = driver::resolve_workers(workers);
+
   const double scale = bench::bench_scale();
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv));
   const workload::Trace trace = bench::paper_trace(scale);
   bench::print_run_banner("Figure 14: hops by table size", scale, trace);
   std::cout << "# workers=" << workers << '\n';

@@ -24,6 +24,7 @@ using namespace adc;
 // The trace is shared by all registered benchmarks (generated once).
 std::unique_ptr<workload::Trace> g_trace;
 double g_scale = 0.1;
+std::string g_usage;
 
 void run_point(benchmark::State& state, driver::SweptTable table, std::size_t size) {
   driver::ExperimentConfig config = bench::paper_config(g_scale);
@@ -51,27 +52,25 @@ void run_point(benchmark::State& state, driver::SweptTable table, std::size_t si
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_scale = bench::bench_scale();
-
   // --workers defaults to 1 here, unlike fig13/14: this bench *measures*
   // per-point wall time, and concurrent runs contend for cores, inflating
   // each other's timings.  With --workers > 1 the sweep runs through the
   // parallel engine instead of google-benchmark, and the reported
   // wall_seconds column (per-run simulation-loop time) is what Figure 15
   // plots — useful for a quick look at the shape, not for clean timings.
-  const int workers = driver::resolve_workers(bench::bench_workers(argc, argv, /*fallback=*/1));
-  // Strip --workers so benchmark::Initialize doesn't reject it.
-  std::vector<char*> bench_args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--workers" && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    if (arg.rfind("--workers=", 0) == 0) continue;
-    bench_args.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(bench_args.size());
+  int workers = 1;
+  util::CliParser cli("Figure 15: processing time by table size (faithful structures).");
+  cli.bind("workers", &workers, bench::kWorkersHelp);
+  // benchmark::Initialize consumes the --benchmark_* flags and answers
+  // --help itself, leading with our usage; the rest of argv is ours.
+  g_usage = cli.help_text();
+  benchmark::Initialize(&argc, argv, [] {
+    std::cout << g_usage << '\n';
+    benchmark::PrintDefaultHelp();
+  });
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
+  workers = driver::resolve_workers(workers);
+  g_scale = bench::bench_scale();
 
   g_trace = std::make_unique<workload::Trace>(bench::paper_trace(g_scale));
   bench::print_run_banner("Figure 15: processing time by table size (faithful structures)",
@@ -105,7 +104,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  benchmark::Initialize(&bench_argc, bench_args.data());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

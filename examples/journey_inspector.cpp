@@ -30,31 +30,23 @@ struct Leg {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::uint64_t count = 40;
+  int proxies = 4;
+  ObjectId object = 7;
+  std::uint64_t seed = 3;
   util::CliParser cli("Trace individual request journeys through an ADC deployment.");
-  cli.option("requests", "40", "how many requests to trace")
-      .option("proxies", "4", "number of cooperating proxies")
-      .option("object", "7", "the (single) object id everybody asks for")
-      .option("seed", "3", "simulation seed");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
-
-  const int proxies = static_cast<int>(cli.config().get_int("proxies", 4));
-  const auto count = cli.config().get_size("requests", 40);
-  const ObjectId object = cli.config().get_size("object", 7);
+  cli.bind("requests", &count, "how many requests to trace")
+      .bind("proxies", &proxies, "number of cooperating proxies", {1, 1000})
+      .bind("object", &object, "the (single) object id everybody asks for")
+      .bind("seed", &seed, "simulation seed");
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
   core::AdcConfig config;
   config.single_table_size = 32;
   config.multiple_table_size = 32;
   config.caching_table_size = 8;
 
-  sim::Simulator sim(cli.config().get_size("seed", 3));
+  sim::Simulator sim(seed);
   std::vector<NodeId> ids;
   for (int i = 0; i < proxies; ++i) ids.push_back(i);
   const NodeId origin_id = proxies;

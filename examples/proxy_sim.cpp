@@ -24,45 +24,44 @@
 int main(int argc, char** argv) {
   using namespace adc;
 
-  util::CliParser cli("All-in-one distributed proxy-cache simulator.");
-  cli.option("scheme", "adc",
-             "adc | carp | consistent | rendezvous | hierarchical | coordinator | soap")
-      .option("model", "polymix", "workload when no --trace: polymix | wpb")
-      .option("trace", "", "replay a saved trace file (.txt or binary)")
-      .option("scale", "0.02", "polymix: scale vs the paper's 3.99M requests")
-      .option("requests", "100000", "wpb: trace length")
-      .option("proxies", "5", "number of cooperating proxies")
-      .option("single", "0", "single-table entries (0 = scale with workload)")
-      .option("multiple", "0", "multiple-table entries (0 = scale with workload)")
-      .option("caching", "0", "caching-table entries (0 = scale with workload)")
-      .option("max-forwards", "8", "ADC search cutoff")
-      .option("seed", "1", "simulation seed")
-      .option("concurrency", "1", "client requests kept in flight")
-      .option("fault-at", "0", "flush a proxy after N completed requests (0 = off)")
-      .option("fault-proxy", "0", "index of the proxy to flush")
-      .option("update-interval", "0", "origin object-update interval (0 = immutable objects)")
-      .option("series", "", "print the moving-average series as CSV", /*is_flag=*/true)
-      .option("faithful", "", "use the paper's table data structures", /*is_flag=*/true);
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
-  const auto& options = cli.config();
+  driver::ExperimentConfig config;
+  std::string model = "polymix";
+  std::string trace_path;
+  double scale = 0.02;
+  std::uint64_t wpb_requests = 100'000;
+  // 0 = size the table from the workload (see below).
+  std::size_t single = 0;
+  std::size_t multiple = 0;
+  std::size_t caching = 0;
+  bool series = false;
+  bool faithful = false;
 
-  const auto scheme = driver::parse_scheme(options.get_string("scheme", "adc"));
-  if (!scheme) {
-    std::cerr << "unknown scheme '" << options.get_string("scheme", "") << "'\n";
-    return 1;
-  }
+  util::CliParser cli("All-in-one distributed proxy-cache simulator.");
+  cli.choice("scheme", &config.scheme, driver::scheme_names(), "distributed-caching scheme")
+      .choice("model", &model, {{"polymix", "polymix"}, {"wpb", "wpb"}},
+              "workload when no --trace")
+      .bind("trace", &trace_path, "replay a saved trace file (.txt or binary)")
+      .bind("scale", &scale, "polymix: scale vs the paper's 3.99M requests")
+      .bind("requests", &wpb_requests, "wpb: trace length")
+      .bind("proxies", &config.proxies, "number of cooperating proxies")
+      .bind("single", &single, "single-table entries (0 = scale with workload)")
+      .bind("multiple", &multiple, "multiple-table entries (0 = scale with workload)")
+      .bind("caching", &caching, "caching-table entries (0 = scale with workload)")
+      .bind("max-forwards", &config.adc.max_forwards, "ADC search cutoff")
+      .bind("seed", &config.seed, "simulation seed")
+      .bind("concurrency", &config.concurrency, "client requests kept in flight",
+            {1, 1'000'000})
+      .bind("fault-at", &config.fault.at_completed,
+            "flush a proxy after N completed requests (0 = off)")
+      .bind("fault-proxy", &config.fault.proxy_index, "index of the proxy to flush")
+      .bind("update-interval", &config.object_update_interval,
+            "origin object-update interval (0 = immutable objects)", {0, kSimTimeMax})
+      .bind("series", &series, "print the moving-average series as CSV")
+      .bind("faithful", &faithful, "use the paper's table data structures");
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
   // --- Workload -----------------------------------------------------------
   workload::Trace trace;
-  const std::string trace_path = options.get_string("trace", "");
   if (!trace_path.empty()) {
     std::string load_error;
     const bool ok = util::ends_with(trace_path, ".txt")
@@ -72,14 +71,13 @@ int main(int argc, char** argv) {
       std::cerr << "cannot load " << trace_path << ": " << load_error << '\n';
       return 1;
     }
-  } else if (options.get_string("model", "polymix") == "wpb") {
+  } else if (model == "wpb") {
     workload::WpbConfig wpb;
-    wpb.requests = options.get_size("requests", 100000);
-    wpb.seed = options.get_size("seed", 1);
+    wpb.requests = wpb_requests;
+    wpb.seed = config.seed;
     trace = workload::generate_wpb_trace(wpb);
   } else {
-    auto polymix = workload::PolygraphConfig::scaled(options.get_double("scale", 0.02));
-    trace = workload::generate_polygraph_trace(polymix);
+    trace = workload::generate_polygraph_trace(workload::PolygraphConfig::scaled(scale));
   }
   if (trace.empty()) {
     std::cerr << "empty workload\n";
@@ -88,29 +86,14 @@ int main(int argc, char** argv) {
   const auto trace_stats = trace.stats();
 
   // --- Deployment ----------------------------------------------------------
-  driver::ExperimentConfig config;
-  config.scheme = *scheme;
-  config.proxies = static_cast<int>(options.get_int("proxies", 5));
   const auto default_table = std::max<std::size_t>(trace_stats.unique_objects / 10, 64);
-  const auto table_or = [&](const char* key, std::size_t fallback) {
-    const auto v = options.get_size(key, 0);
-    return v != 0 ? static_cast<std::size_t>(v) : fallback;
-  };
-  config.adc.single_table_size = table_or("single", default_table);
-  config.adc.multiple_table_size = table_or("multiple", default_table);
-  config.adc.caching_table_size = table_or("caching", std::max<std::size_t>(default_table / 2, 32));
-  config.adc.max_forwards = static_cast<int>(options.get_int("max-forwards", 8));
-  if (options.get_bool("faithful", false)) {
-    config.adc.table_impl = cache::TableImpl::kFaithful;
-  }
-  config.seed = options.get_size("seed", 1);
-  config.concurrency = static_cast<int>(options.get_int("concurrency", 1));
+  config.adc.single_table_size = single != 0 ? single : default_table;
+  config.adc.multiple_table_size = multiple != 0 ? multiple : default_table;
+  config.adc.caching_table_size =
+      caching != 0 ? caching : std::max<std::size_t>(default_table / 2, 32);
+  if (faithful) config.adc.table_impl = cache::TableImpl::kFaithful;
   config.ma_window = std::max<std::size_t>(trace.size() / 100, 100);
   config.sample_every = config.ma_window;
-  config.fault.at_completed = options.get_size("fault-at", 0);
-  config.fault.proxy_index = static_cast<int>(options.get_int("fault-proxy", 0));
-  config.object_update_interval =
-      static_cast<SimTime>(options.get_size("update-interval", 0));
   if (const std::string invalid = config.validate(); !invalid.empty()) {
     std::cerr << "invalid configuration: " << invalid << '\n';
     return 1;
@@ -126,12 +109,12 @@ int main(int argc, char** argv) {
 
   const driver::ExperimentResult result = driver::run_experiment(config, trace);
 
-  if (options.get_bool("series", false)) {
-    driver::print_series_csv(std::cout, driver::scheme_name(*scheme), result.series);
+  if (series) {
+    driver::print_series_csv(std::cout, driver::scheme_name(config.scheme), result.series);
     return 0;
   }
 
-  driver::print_summary(std::cout, driver::scheme_name(*scheme), result);
+  driver::print_summary(std::cout, driver::scheme_name(config.scheme), result);
   if (config.object_update_interval > 0) {
     std::cout << "stale_hits=" << result.summary.stale_hits
               << " stale_rate=" << driver::fmt(result.summary.stale_rate()) << '\n';

@@ -18,21 +18,14 @@
 int main(int argc, char** argv) {
   using namespace adc;
 
+  driver::ExperimentConfig config;
+  std::uint64_t requests = 50'000;
   util::CliParser cli("Quickstart: ADC on a small synthetic trace.");
-  cli.option("proxies", "5", "number of cooperating proxies")
-      .option("requests", "50000", "approximate trace length")
-      .option("seed", "1", "simulation seed");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
+  cli.bind("proxies", &config.proxies, "number of cooperating proxies")
+      .bind("requests", &requests, "approximate trace length")
+      .bind("seed", &config.seed, "simulation seed");
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
-  const auto requests = cli.config().get_size("requests", 50000);
   const double scale = static_cast<double>(requests) / 3'990'000.0;
 
   // 1. Workload: a scaled-down PolyMix-like trace (fill phase, request
@@ -45,10 +38,7 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   // 2. Deployment: paper-style ADC with tables scaled to the workload.
-  driver::ExperimentConfig config;
   config.scheme = driver::Scheme::kAdc;
-  config.proxies = static_cast<int>(cli.config().get_int("proxies", 5));
-  config.seed = cli.config().get_size("seed", 1);
   config.adc.single_table_size = std::max<std::size_t>(stats.unique_objects / 10, 64);
   config.adc.multiple_table_size = config.adc.single_table_size;
   config.adc.caching_table_size = std::max<std::size_t>(config.adc.single_table_size / 2, 32);

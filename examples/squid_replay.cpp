@@ -43,31 +43,17 @@ std::string make_demo_log(std::size_t lines, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  driver::ExperimentConfig config;
+  workload::SquidLoadOptions options;
+  std::size_t demo_lines = 80'000;
   util::CliParser cli("Replay a Squid access log through a distributed proxy system.");
-  cli.option("scheme", "adc", "adc | carp | consistent | rendezvous | hierarchical | coordinator")
-      .option("limit", "0", "max requests to ingest (0 = all)")
-      .option("proxies", "5", "number of cooperating proxies")
-      .option("demo-lines", "80000", "size of the fabricated demo log when no file is given");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
-
-  const auto scheme = driver::parse_scheme(cli.config().get_string("scheme", "adc"));
-  if (!scheme) {
-    std::cerr << "unknown scheme\n";
-    return 1;
-  }
+  cli.choice("scheme", &config.scheme, driver::scheme_names(), "distributed-caching scheme")
+      .bind("limit", &options.limit, "max requests to ingest (0 = all)")
+      .bind("proxies", &config.proxies, "number of cooperating proxies")
+      .bind("demo-lines", &demo_lines, "size of the fabricated demo log when no file is given");
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
   workload::UrlInterner interner;
-  workload::SquidLoadOptions options;
-  options.limit = cli.config().get_size("limit", 0);
-
   workload::SquidLoadResult loaded;
   if (!cli.positional().empty()) {
     auto from_file = workload::load_squid_log_file(cli.positional().front(), interner, options);
@@ -78,8 +64,6 @@ int main(int argc, char** argv) {
     loaded = std::move(*from_file);
     std::cout << "log: " << cli.positional().front() << '\n';
   } else {
-    const auto demo_lines =
-        static_cast<std::size_t>(cli.config().get_size("demo-lines", 80000));
     std::istringstream demo(make_demo_log(demo_lines, 11));
     loaded = workload::load_squid_log(demo, interner, options);
     std::cout << "log: (fabricated demo, " << demo_lines << " lines)\n";
@@ -93,9 +77,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  driver::ExperimentConfig config;
-  config.scheme = *scheme;
-  config.proxies = static_cast<int>(cli.config().get_int("proxies", 5));
   // Tables sized to the log's working set: cache ~10% of distinct URLs.
   config.adc.single_table_size = std::max<std::size_t>(interner.size() / 5, 64);
   config.adc.multiple_table_size = config.adc.single_table_size;
@@ -104,7 +85,7 @@ int main(int argc, char** argv) {
   config.sample_every = 0;
 
   const driver::ExperimentResult result = driver::run_experiment(config, loaded.trace);
-  driver::print_summary(std::cout, driver::scheme_name(*scheme), result);
+  driver::print_summary(std::cout, driver::scheme_name(config.scheme), result);
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"proxy", "requests", "local_hits", "cached"});

@@ -65,27 +65,25 @@ void describe(const workload::Trace& trace) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string model = "polymix";
+  double scale = 0.01;
+  workload::WpbConfig wpb;
+  wpb.requests = 100'000;
+  std::uint64_t seed = 42;
+  std::string save;
+  std::string load;
   util::CliParser cli("Generate, inspect, save and reload request traces.");
-  cli.option("model", "polymix", "polymix | wpb")
-      .option("scale", "0.01", "polymix: scale vs the paper's 3.99M requests")
-      .option("requests", "100000", "wpb: trace length")
-      .option("recency", "0.5", "wpb: re-reference probability")
-      .option("stack", "1000", "wpb: LRU stack depth")
-      .option("seed", "42", "generator seed")
-      .option("save", "", "write the trace (.txt = text, anything else = binary)")
-      .option("load", "", "load a previously saved trace instead of generating");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
+  cli.choice("model", &model, {{"polymix", "polymix"}, {"wpb", "wpb"}}, "trace generator")
+      .bind("scale", &scale, "polymix: scale vs the paper's 3.99M requests")
+      .bind("requests", &wpb.requests, "wpb: trace length")
+      .bind("recency", &wpb.recency_probability, "wpb: re-reference probability", {0.0, 1.0})
+      .bind("stack", &wpb.stack_depth, "wpb: LRU stack depth")
+      .bind("seed", &seed, "generator seed")
+      .bind("save", &save, "write the trace (.txt = text, anything else = binary)")
+      .bind("load", &load, "load a previously saved trace instead of generating");
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
   workload::Trace trace;
-  const std::string load = cli.config().get_string("load", "");
   if (!load.empty()) {
     std::string load_error;
     const bool ok = util::ends_with(load, ".txt")
@@ -96,24 +94,19 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "loaded " << load << "\n\n";
-  } else if (cli.config().get_string("model", "polymix") == "wpb") {
-    workload::WpbConfig config;
-    config.requests = cli.config().get_size("requests", 100000);
-    config.recency_probability = cli.config().get_double("recency", 0.5);
-    config.stack_depth = static_cast<std::size_t>(cli.config().get_size("stack", 1000));
-    config.seed = cli.config().get_size("seed", 42);
-    trace = workload::generate_wpb_trace(config);
+  } else if (model == "wpb") {
+    wpb.seed = seed;
+    trace = workload::generate_wpb_trace(wpb);
     std::cout << "generated WPB-style trace\n\n";
   } else {
-    auto config = workload::PolygraphConfig::scaled(cli.config().get_double("scale", 0.01));
-    config.seed = cli.config().get_size("seed", 42);
+    auto config = workload::PolygraphConfig::scaled(scale);
+    config.seed = seed;
     trace = workload::generate_polygraph_trace(config);
     std::cout << "generated PolyMix-style trace\n\n";
   }
 
   describe(trace);
 
-  const std::string save = cli.config().get_string("save", "");
   if (!save.empty()) {
     const bool ok = util::ends_with(save, ".txt") ? trace.save_text(save)
                                                   : trace.save_binary(save);

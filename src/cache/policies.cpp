@@ -294,29 +294,27 @@ class HeapCache final : public CacheSet {
 
 }  // namespace
 
+const std::vector<std::pair<std::string, Policy>>& policy_names() {
+  static const std::vector<std::pair<std::string, Policy>> names = {
+      {"lru", Policy::kLru},          {"fifo", Policy::kFifo},
+      {"lfu", Policy::kLfu},          {"gdsf", Policy::kGdsf},
+      {"size-lru", Policy::kSizeLru}, {"sizelru", Policy::kSizeLru},
+      {"size_lru", Policy::kSizeLru},
+  };
+  return names;
+}
+
 Policy parse_policy(std::string_view name) noexcept {
   const std::string lowered = util::to_lower(name);
-  if (lowered == "fifo") return Policy::kFifo;
-  if (lowered == "lfu") return Policy::kLfu;
-  if (lowered == "gdsf") return Policy::kGdsf;
-  if (lowered == "size-lru" || lowered == "sizelru" || lowered == "size_lru") {
-    return Policy::kSizeLru;
+  for (const auto& [known, policy] : policy_names()) {
+    if (known == lowered) return policy;
   }
   return Policy::kLru;
 }
 
 std::string_view policy_name(Policy policy) noexcept {
-  switch (policy) {
-    case Policy::kLru:
-      return "lru";
-    case Policy::kFifo:
-      return "fifo";
-    case Policy::kLfu:
-      return "lfu";
-    case Policy::kGdsf:
-      return "gdsf";
-    case Policy::kSizeLru:
-      return "size-lru";
+  for (const auto& [name, known] : policy_names()) {
+    if (known == policy) return name;
   }
   return "lru";
 }

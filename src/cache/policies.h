@@ -14,7 +14,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
@@ -35,8 +37,11 @@ enum class Policy {
   kSizeLru,
 };
 
-/// Parses "lru" / "fifo" / "lfu" / "gdsf" / "size-lru" (case-insensitive);
-/// defaults to LRU.
+/// Every accepted policy name, lower case, aliases included; each policy's
+/// first entry is its policy_name().  Also the CLIs' `--cache-policy` choices.
+const std::vector<std::pair<std::string, Policy>>& policy_names();
+
+/// Looks `name` up in policy_names() (case-insensitive); defaults to LRU.
 Policy parse_policy(std::string_view name) noexcept;
 std::string_view policy_name(Policy policy) noexcept;
 

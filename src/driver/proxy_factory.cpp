@@ -55,35 +55,37 @@ OwnerMapFactory owner_map_factory(const ProxySpec& spec) {
 
 }  // namespace
 
+const std::vector<std::pair<std::string, Scheme>>& scheme_names() {
+  static const std::vector<std::pair<std::string, Scheme>> names = {
+      {"adc", Scheme::kAdc},
+      {"carp", Scheme::kCarp},
+      {"hash", Scheme::kCarp},
+      {"hashing", Scheme::kCarp},
+      {"consistent", Scheme::kConsistent},
+      {"ring", Scheme::kConsistent},
+      {"rendezvous", Scheme::kRendezvous},
+      {"hrw", Scheme::kRendezvous},
+      {"hierarchical", Scheme::kHierarchical},
+      {"hier", Scheme::kHierarchical},
+      {"coordinator", Scheme::kCoordinator},
+      {"central", Scheme::kCoordinator},
+      {"soap", Scheme::kSoap},
+  };
+  return names;
+}
+
 std::string_view scheme_name(Scheme scheme) noexcept {
-  switch (scheme) {
-    case Scheme::kAdc:
-      return "adc";
-    case Scheme::kCarp:
-      return "carp";
-    case Scheme::kConsistent:
-      return "consistent";
-    case Scheme::kRendezvous:
-      return "rendezvous";
-    case Scheme::kHierarchical:
-      return "hierarchical";
-    case Scheme::kCoordinator:
-      return "coordinator";
-    case Scheme::kSoap:
-      return "soap";
+  for (const auto& [name, known] : scheme_names()) {
+    if (known == scheme) return name;
   }
   return "adc";
 }
 
 std::optional<Scheme> parse_scheme(std::string_view name) noexcept {
   const std::string lowered = util::to_lower(name);
-  if (lowered == "adc") return Scheme::kAdc;
-  if (lowered == "carp" || lowered == "hash" || lowered == "hashing") return Scheme::kCarp;
-  if (lowered == "consistent" || lowered == "ring") return Scheme::kConsistent;
-  if (lowered == "rendezvous" || lowered == "hrw") return Scheme::kRendezvous;
-  if (lowered == "hierarchical" || lowered == "hier") return Scheme::kHierarchical;
-  if (lowered == "coordinator" || lowered == "central") return Scheme::kCoordinator;
-  if (lowered == "soap") return Scheme::kSoap;
+  for (const auto& [known, scheme] : scheme_names()) {
+    if (known == lowered) return scheme;
+  }
   return std::nullopt;
 }
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cache/policies.h"
@@ -35,7 +36,12 @@ enum class Scheme {
   kSoap,          // self-organized adaptive proxies (paper Section II.2)
 };
 
+/// Every accepted scheme name, lower case, aliases included; each scheme's
+/// first entry is its scheme_name().  Also the CLIs' `--scheme` choices.
+const std::vector<std::pair<std::string, Scheme>>& scheme_names();
+
 std::string_view scheme_name(Scheme scheme) noexcept;
+/// Looks `name` up in scheme_names() (case-insensitive).
 std::optional<Scheme> parse_scheme(std::string_view name) noexcept;
 
 /// True for the flat schemes whose proxies can run under a MemberAgent

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "proxy/hashing_proxy.h"
 #include "proxy/origin_server.h"
 #include "store/erasure_tier.h"
+#include "store/rdp_coding.h"
 #include "util/logging.h"
 
 namespace adc::server {
@@ -21,36 +23,11 @@ static_assert(net::kMaxBodyBytes == store::kMaxBodySample,
               "wire body capacity must match the store's body sample size");
 
 std::string role_name(DaemonRole role) {
-  switch (role) {
-    case DaemonRole::kAdcProxy:
-      return "adc";
-    case DaemonRole::kCarpProxy:
-      return "carp";
-    case DaemonRole::kOrigin:
-      return "origin";
+  for (const auto& [name, known] : daemon_role_names()) {
+    if (known == role) return name;
   }
   return "adc";
 }
-
-}  // namespace
-
-bool parse_daemon_role(std::string_view text, DaemonRole* out) {
-  if (text == "adc" || text == "proxy") {
-    *out = DaemonRole::kAdcProxy;
-    return true;
-  }
-  if (text == "carp") {
-    *out = DaemonRole::kCarpProxy;
-    return true;
-  }
-  if (text == "origin") {
-    *out = DaemonRole::kOrigin;
-    return true;
-  }
-  return false;
-}
-
-namespace {
 
 fault::PeerHealth::Config health_for_node(fault::PeerHealth::Config health, NodeId node) {
   // Per-node jitter streams, so members do not redial in lockstep.
@@ -58,10 +35,44 @@ fault::PeerHealth::Config health_for_node(fault::PeerHealth::Config health, Node
   return health;
 }
 
+DaemonConfig validated(DaemonConfig config) {
+  if (const std::string error = config.validate(); !error.empty()) {
+    throw std::invalid_argument("NodeDaemon: " + error);
+  }
+  return config;
+}
+
 }  // namespace
 
+const std::vector<std::pair<std::string, DaemonRole>>& daemon_role_names() {
+  static const std::vector<std::pair<std::string, DaemonRole>> names = {
+      {"adc", DaemonRole::kAdcProxy},
+      {"proxy", DaemonRole::kAdcProxy},
+      {"carp", DaemonRole::kCarpProxy},
+      {"origin", DaemonRole::kOrigin},
+  };
+  return names;
+}
+
+std::string DaemonConfig::validate() const {
+  const store::ErasureConfig& erasure = payload.erasure;
+  if (erasure.enabled && !payload.enabled) return "--erasure 1 needs --payload 1";
+  if (erasure.enabled && (erasure.data_chunks < store::RdpCode::kMinDataChunks ||
+                          erasure.data_chunks > store::RdpCode::kMaxDataChunks)) {
+    return "--erasure-k must be in [" + std::to_string(store::RdpCode::kMinDataChunks) + ", " +
+           std::to_string(store::RdpCode::kMaxDataChunks) + "], got " +
+           std::to_string(erasure.data_chunks);
+  }
+  if (erasure.restripe && !erasure.enabled) return "--restripe 1 needs --erasure 1";
+  if (erasure.restripe && !membership.swim.enabled) {
+    return "--restripe 1 needs --membership 1 (deaths come from SWIM)";
+  }
+  if (role != DaemonRole::kOrigin && origin_id < 0) return "proxies need --origin";
+  return {};
+}
+
 NodeDaemon::NodeDaemon(DaemonConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       // Fold the node id into the seed so same-seeded daemons draw
       // independent streams (the simulator has one Rng; a cluster has one
       // per node, which only perturbs random-forwarding choices).

@@ -27,6 +27,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cache/policies.h"
@@ -53,6 +54,10 @@ enum class DaemonRole : std::uint8_t {
   kCarpProxy,  // proxy::HashingProxy over a CARP array of all proxies
   kOrigin,     // proxy::OriginServer
 };
+
+/// Every accepted `--role` name, aliases included; each role's first entry
+/// is the name the daemon's logs and stats use.
+const std::vector<std::pair<std::string, DaemonRole>>& daemon_role_names();
 
 struct DaemonConfig {
   NodeId node_id = 0;
@@ -117,6 +122,11 @@ struct DaemonConfig {
   /// bucket into debt, so the cap bounds burstiness without blocking
   /// frames larger than the capacity.
   std::uint64_t egress_burst_bytes = 0;
+
+  /// The first cross-field problem, named by adcd's flags, or "" when the
+  /// config is runnable.  Checked in every build: NodeDaemon's constructor
+  /// throws std::invalid_argument on a non-empty result.
+  std::string validate() const;
 };
 
 struct DaemonStats {
@@ -346,9 +356,5 @@ class NodeDaemon final : public sim::Transport {
   std::function<void()> tick_;
   DaemonStats stats_;
 };
-
-/// Maps "adc"/"proxy" -> kAdcProxy, "carp" -> kCarpProxy, "origin" ->
-/// kOrigin; false on anything else.
-bool parse_daemon_role(std::string_view text, DaemonRole* out);
 
 }  // namespace adc::server

@@ -40,7 +40,9 @@ enum class EntryChoice : std::uint8_t {
 };
 
 struct LoadGenConfig {
-  NodeId client_id = 0;
+  /// Must not collide with a daemon's id; 6 follows the five proxies and
+  /// the origin of the documented cluster (ids 0-5).
+  NodeId client_id = 6;
 
   /// Entry proxies by node id; requests spread across all of them.
   std::map<NodeId, net::Endpoint> proxies;

@@ -29,47 +29,61 @@
 int main(int argc, char** argv) {
   using namespace adc;
 
+  server::LoadGenConfig config;
+  std::string trace_path;
+  std::string workload_kind = "polygraph";
+  double scale = 0.01;
+  std::uint64_t trace_seed = 42;
+  workload::HashFloodConfig flood;
+  workload::FlashCrowdConfig flash;
+  workload::DiurnalConfig diurnal;
+  std::size_t requests = 0;
+  std::string json_path;
+
   util::CliParser cli("adc_loadgen — TCP load generator for an adcd cluster.");
-  cli.option("client-id", "6", "this client's node id (must not collide with daemons)")
-      .option("trace", "", "replay a saved trace file (.txt or binary)")
-      .option("workload", "polygraph", "generated workload: polygraph | flood | flash | diurnal")
-      .option("scale", "0.01", "generator scale vs the paper's 3.99M requests")
-      .option("trace-seed", "42", "generator seed")
-      .option("flood-scheme", "carp", "flood: owner map to attack: carp | ring | hrw")
-      .option("flood-victim", "0", "flood: proxy index the mined keys collide onto")
-      .option("flood-fraction", "0.8", "flood: fraction of requests aimed at the victim")
-      .option("flood-keys", "512", "flood: distinct mined keys in the flood set")
-      .option("flash-peak", "0.3", "flash: crowd share of traffic once ramped")
-      .option("flash-begin", "0.4", "flash: ramp start as a fraction of the trace")
-      .option("flash-window", "0.1", "flash: ramp duration as a fraction of the trace")
-      .option("diurnal-populations", "2", "diurnal: rotating client populations")
-      .option("diurnal-cycles", "2", "diurnal: day/night cycles across the trace")
-      .option("requests", "0", "truncate the trace to N requests (0 = all)")
-      .option("concurrency", "4", "requests kept in flight")
-      .option("entry", "rr", "entry proxy choice: rr | random")
-      .option("seed", "1", "seed for --entry random")
-      .option("idle-timeout", "30000", "abort after this many ms without a reply (0 = never)")
-      .option("request-timeout", "0",
-              "per-request deadline in ms; expired requests count as failed (0 = off)")
-      .option("json", "", "also write the report as a JSON artifact to this path")
+  cli.bind("client-id", &config.client_id, "this client's node id (must not collide with daemons)")
+      .bind("trace", &trace_path, "replay a saved trace file (.txt or binary)")
+      .choice("workload", &workload_kind,
+              {{"polygraph", "polygraph"}, {"flood", "flood"}, {"flash", "flash"},
+               {"diurnal", "diurnal"}},
+              "generated workload")
+      .bind("scale", &scale, "generator scale vs the paper's 3.99M requests")
+      .bind("trace-seed", &trace_seed, "generator seed")
+      .choice("flood-scheme", &flood.scheme, workload::flood_scheme_names(),
+              "flood: owner map to attack")
+      .bind("flood-victim", &flood.victim, "flood: proxy index the mined keys collide onto")
+      .bind("flood-fraction", &flood.flood_fraction,
+            "flood: fraction of requests aimed at the victim", {0.0, 1.0})
+      .bind("flood-keys", &flood.flood_keys, "flood: distinct mined keys in the flood set")
+      .bind("flash-peak", &flash.peak_fraction, "flash: crowd share of traffic once ramped",
+            {0.0, 1.0})
+      .bind("flash-begin", &flash.ramp_begin, "flash: ramp start as a fraction of the trace",
+            {0.0, 1.0})
+      .bind("flash-window", &flash.ramp_window,
+            "flash: ramp duration as a fraction of the trace", {0.0, 1.0})
+      .bind("diurnal-populations", &diurnal.populations, "diurnal: rotating client populations")
+      .bind("diurnal-cycles", &diurnal.cycles, "diurnal: day/night cycles across the trace")
+      .bind("requests", &requests, "truncate the trace to N requests (0 = all)")
+      .bind("concurrency", &config.concurrency, "requests kept in flight", {1, 1'000'000})
+      .choice("entry", &config.entry,
+              {{"rr", server::EntryChoice::kRoundRobin},
+               {"round-robin", server::EntryChoice::kRoundRobin},
+               {"random", server::EntryChoice::kRandom}},
+              "entry proxy choice")
+      .bind("seed", &config.seed, "seed for --entry random")
+      .bind("idle-timeout", &config.idle_timeout_ms,
+            "abort after this many ms without a reply (0 = never)")
+      .bind("request-timeout", &config.request_timeout_ms,
+            "per-request deadline in ms; expired requests count as failed (0 = off)")
+      .bind("json", &json_path, "also write the report as a JSON artifact to this path")
       .multi_option("peer", "entry proxy as id=host:port");
-  std::string error;
-  if (!cli.parse(argc, argv, &error)) {
-    std::cerr << error << '\n' << cli.help_text();
-    return 1;
-  }
-  if (cli.help_requested()) {
-    std::cout << cli.help_text();
-    return 0;
-  }
-  const auto& options = cli.config();
+  if (const auto exit_code = cli.parse_main(argc, argv)) return *exit_code;
 
   // Flag hygiene: a workload-specific tuning flag paired with a workload
   // that ignores it is almost always a mistyped experiment, so fail loudly
   // instead of silently running something else.
   {
-    const bool have_trace = !options.get_string("trace", "").empty();
-    const std::string workload = options.get_string("workload", "polygraph");
+    const bool have_trace = !trace_path.empty();
     struct FlagGroup {
       const char* owner;  // the workload whose generator reads these flags
       std::vector<const char*> flags;
@@ -88,9 +102,9 @@ int main(int argc, char** argv) {
                        "never regenerated)\n";
           return 1;
         }
-        if (workload != group.owner) {
+        if (workload_kind != group.owner) {
           std::cerr << "--" << flag << " only applies to --workload " << group.owner
-                    << " (got --workload " << workload << ")\n";
+                    << " (got --workload " << workload_kind << ")\n";
           return 1;
         }
       }
@@ -107,21 +121,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  server::LoadGenConfig config;
-  config.client_id = static_cast<NodeId>(options.get_int("client-id", 6));
-  config.concurrency = static_cast<int>(options.get_int("concurrency", 4));
-  config.seed = static_cast<std::uint64_t>(options.get_int("seed", 1));
-  config.idle_timeout_ms = static_cast<int>(options.get_int("idle-timeout", 30000));
-  config.request_timeout_ms = static_cast<int>(options.get_int("request-timeout", 0));
-  const std::string entry = options.get_string("entry", "rr");
-  if (entry == "rr" || entry == "round-robin") {
-    config.entry = server::EntryChoice::kRoundRobin;
-  } else if (entry == "random") {
-    config.entry = server::EntryChoice::kRandom;
-  } else {
-    std::cerr << "unknown --entry '" << entry << "'\n";
-    return 1;
-  }
+  std::string error;
   for (const std::string& spec : cli.values("peer")) {
     NodeId id = kInvalidNode;
     net::Endpoint endpoint;
@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
   }
 
   workload::Trace trace;
-  const std::string trace_path = options.get_string("trace", "");
   if (!trace_path.empty()) {
     const bool ok = util::ends_with(trace_path, ".txt")
                         ? workload::Trace::load_text(trace_path, &trace, &error)
@@ -147,59 +146,33 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    const std::string workload = options.get_string("workload", "polygraph");
-    const double scale = options.get_double("scale", 0.01);
-    const auto seed = static_cast<std::uint64_t>(options.get_int("trace-seed", 42));
     // Hostile generators size themselves off the same 3.99M-request PolyMix
     // yardstick --scale already uses, so sim and live runs line up.
     const workload::PolygraphConfig paper_scale;
     const auto scaled_requests = static_cast<std::uint64_t>(
         scale * static_cast<double>(paper_scale.fill_requests + paper_scale.phase2_requests +
                                     paper_scale.phase3_requests));
-    if (workload == "polygraph") {
+    if (workload_kind == "polygraph") {
       auto poly = workload::PolygraphConfig::scaled(scale);
-      poly.seed = seed;
+      poly.seed = trace_seed;
       trace = workload::generate_polygraph_trace(poly);
-    } else if (workload == "flood") {
-      workload::HashFloodConfig flood;
-      const auto scheme = workload::parse_flood_scheme(options.get_string("flood-scheme", "carp"));
-      if (!scheme) {
-        std::cerr << "unknown --flood-scheme '" << options.get_string("flood-scheme", "carp")
-                  << "' (carp | ring | hrw)\n";
-        return 1;
-      }
-      flood.scheme = *scheme;
+    } else if (workload_kind == "flood") {
       flood.proxies = static_cast<int>(config.proxies.size());
-      flood.victim = static_cast<int>(options.get_int("flood-victim", 0));
-      flood.flood_fraction = options.get_double("flood-fraction", 0.8);
-      flood.flood_keys = static_cast<std::uint64_t>(options.get_int("flood-keys", 512));
       flood.requests = scaled_requests;
-      flood.seed = seed;
+      flood.seed = trace_seed;
       trace = workload::generate_hash_flood_trace(flood);
-    } else if (workload == "flash") {
-      workload::FlashCrowdConfig flash;
+    } else if (workload_kind == "flash") {
       flash.requests = scaled_requests;
-      flash.peak_fraction = options.get_double("flash-peak", 0.3);
-      flash.ramp_begin = options.get_double("flash-begin", 0.4);
-      flash.ramp_window = options.get_double("flash-window", 0.1);
-      flash.seed = seed;
+      flash.seed = trace_seed;
       trace = workload::generate_flash_crowd_trace(flash);
-    } else if (workload == "diurnal") {
-      workload::DiurnalConfig diurnal;
-      diurnal.requests = scaled_requests;
-      diurnal.populations = static_cast<std::uint64_t>(options.get_int("diurnal-populations", 2));
-      diurnal.cycles = options.get_double("diurnal-cycles", 2);
-      diurnal.seed = seed;
-      trace = workload::generate_diurnal_trace(diurnal);
     } else {
-      std::cerr << "unknown --workload '" << workload
-                << "' (polygraph | flood | flash | diurnal)\n";
-      return 1;
+      diurnal.requests = scaled_requests;
+      diurnal.seed = trace_seed;
+      trace = workload::generate_diurnal_trace(diurnal);
     }
   }
   std::vector<ObjectId> objects = trace.requests();
-  const auto limit = static_cast<std::size_t>(options.get_int("requests", 0));
-  if (limit != 0 && limit < objects.size()) objects.resize(limit);
+  if (requests != 0 && requests < objects.size()) objects.resize(requests);
 
   std::signal(SIGPIPE, SIG_IGN);
 
@@ -212,12 +185,10 @@ int main(int argc, char** argv) {
   const server::LoadGenReport report = loadgen.run(objects);
   std::cout << report.text();
 
-  const std::string json_path = options.get_string("json", "");
   if (!json_path.empty()) {
     // The artifact's header names its workload: a replayed trace file
     // reports as "trace", generated workloads by their generator name.
-    const std::string workload_name =
-        trace_path.empty() ? options.get_string("workload", "polygraph") : "trace";
+    const std::string workload_name = trace_path.empty() ? workload_kind : "trace";
     std::ofstream json_out(json_path);
     if (!json_out) {
       std::cerr << "cannot write JSON report to " << json_path << '\n';

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 
 namespace adc::util {
 namespace {
@@ -113,7 +114,7 @@ std::optional<std::uint64_t> parse_size(std::string_view s) noexcept {
   }
   if (multiplier != 1) s.remove_suffix(1);
   const auto base = parse_uint(s);
-  if (!base) return std::nullopt;
+  if (!base || *base > std::numeric_limits<std::uint64_t>::max() / multiplier) return std::nullopt;
   return *base * multiplier;
 }
 

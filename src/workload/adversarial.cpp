@@ -72,23 +72,29 @@ class BenignStream {
 
 }  // namespace
 
+const std::vector<std::pair<std::string, FloodScheme>>& flood_scheme_names() {
+  static const std::vector<std::pair<std::string, FloodScheme>> names = {
+      {"carp", FloodScheme::kCarp},
+      {"ring", FloodScheme::kRing},
+      {"consistent", FloodScheme::kRing},
+      {"rendezvous", FloodScheme::kRendezvous},
+      {"hrw", FloodScheme::kRendezvous},
+  };
+  return names;
+}
+
 std::string_view flood_scheme_name(FloodScheme scheme) noexcept {
-  switch (scheme) {
-    case FloodScheme::kCarp:
-      return "carp";
-    case FloodScheme::kRing:
-      return "ring";
-    case FloodScheme::kRendezvous:
-      return "rendezvous";
+  for (const auto& [name, known] : flood_scheme_names()) {
+    if (known == scheme) return name;
   }
   return "carp";
 }
 
 std::optional<FloodScheme> parse_flood_scheme(std::string_view name) noexcept {
   const std::string lowered = util::to_lower(name);
-  if (lowered == "carp") return FloodScheme::kCarp;
-  if (lowered == "ring" || lowered == "consistent") return FloodScheme::kRing;
-  if (lowered == "rendezvous" || lowered == "hrw") return FloodScheme::kRendezvous;
+  for (const auto& [known, scheme] : flood_scheme_names()) {
+    if (known == lowered) return scheme;
+  }
   return std::nullopt;
 }
 

@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -44,7 +46,13 @@ enum class FloodScheme : std::uint8_t {
   kRendezvous,  // hash::RendezvousHash
 };
 
+/// Every accepted flood-scheme name, lower case, aliases included; each
+/// scheme's first entry is its flood_scheme_name().  Also adc_loadgen's
+/// `--flood-scheme` choices.
+const std::vector<std::pair<std::string, FloodScheme>>& flood_scheme_names();
+
 std::string_view flood_scheme_name(FloodScheme scheme) noexcept;
+/// Looks `name` up in flood_scheme_names() (case-insensitive).
 std::optional<FloodScheme> parse_flood_scheme(std::string_view name) noexcept;
 
 /// First object id of the mined-key candidate range.  Kept far above any

@@ -14,6 +14,11 @@ TEST(PolicyNames, ParseAndPrint) {
   EXPECT_EQ(policy_name(Policy::kLru), "lru");
   EXPECT_EQ(policy_name(Policy::kFifo), "fifo");
   EXPECT_EQ(policy_name(Policy::kLfu), "lfu");
+  EXPECT_EQ(policy_name(Policy::kGdsf), "gdsf");
+  EXPECT_EQ(policy_name(Policy::kSizeLru), "size-lru");
+  EXPECT_EQ(parse_policy("GDSF"), Policy::kGdsf);
+  EXPECT_EQ(parse_policy("sizelru"), Policy::kSizeLru);
+  EXPECT_EQ(parse_policy("size_lru"), Policy::kSizeLru);
 }
 
 class CachePolicyTest : public ::testing::TestWithParam<Policy> {

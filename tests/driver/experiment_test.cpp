@@ -42,6 +42,16 @@ TEST(SchemeNames, RoundTrip) {
   }
 }
 
+TEST(SchemeNames, CanonicalNames) {
+  EXPECT_EQ(scheme_name(Scheme::kAdc), "adc");
+  EXPECT_EQ(scheme_name(Scheme::kCarp), "carp");
+  EXPECT_EQ(scheme_name(Scheme::kConsistent), "consistent");
+  EXPECT_EQ(scheme_name(Scheme::kRendezvous), "rendezvous");
+  EXPECT_EQ(scheme_name(Scheme::kHierarchical), "hierarchical");
+  EXPECT_EQ(scheme_name(Scheme::kCoordinator), "coordinator");
+  EXPECT_EQ(scheme_name(Scheme::kSoap), "soap");
+}
+
 TEST(SchemeNames, Aliases) {
   EXPECT_EQ(parse_scheme("hash"), Scheme::kCarp);
   EXPECT_EQ(parse_scheme("ring"), Scheme::kConsistent);

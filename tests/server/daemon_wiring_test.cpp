@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/adc_proxy.h"
 #include "proxy/hashing_proxy.h"
 #include "proxy/origin_server.h"
@@ -74,6 +76,72 @@ TEST(DaemonWiring, OriginIsNeverAMember) {
   EXPECT_NE(dynamic_cast<proxy::OriginServer*>(&daemon.hosted()), nullptr);
   EXPECT_EQ(daemon.detector(), nullptr);
   EXPECT_EQ(daemon.hosted_tier(), nullptr);
+}
+
+// DaemonConfig::validate() runs in every build: adcd prints its message and
+// exits 1, and an in-process NodeDaemon refuses the config outright.
+TEST(DaemonConfigValidate, DefaultProxyConfigWithAnOriginIsValid) {
+  EXPECT_EQ(daemon_config(DaemonRole::kAdcProxy).validate(), "");
+  DaemonConfig origin = daemon_config(DaemonRole::kOrigin);
+  origin.origin_id = kInvalidNode;  // the origin names no upstream
+  EXPECT_EQ(origin.validate(), "");
+}
+
+TEST(DaemonConfigValidate, ErasureNeedsPayload) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.erasure.enabled = true;
+  EXPECT_EQ(config.validate(), "--erasure 1 needs --payload 1");
+}
+
+TEST(DaemonConfigValidate, DataChunksOutsideRdpRange) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.enabled = true;
+  config.payload.erasure.enabled = true;
+  config.payload.erasure.data_chunks = 1;
+  EXPECT_EQ(config.validate(), "--erasure-k must be in [2, 62], got 1");
+  config.payload.erasure.data_chunks = 65;
+  EXPECT_EQ(config.validate(), "--erasure-k must be in [2, 62], got 65");
+  config.payload.erasure.data_chunks = 62;
+  EXPECT_EQ(config.validate(), "");
+  // The stripe width only matters while the tier is on.
+  config.payload.erasure.enabled = false;
+  config.payload.erasure.data_chunks = 1;
+  EXPECT_EQ(config.validate(), "");
+}
+
+TEST(DaemonConfigValidate, RestripeNeedsErasure) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.enabled = true;
+  config.membership.swim.enabled = true;
+  config.payload.erasure.restripe = true;
+  EXPECT_EQ(config.validate(), "--restripe 1 needs --erasure 1");
+}
+
+TEST(DaemonConfigValidate, RestripeNeedsMembership) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.enabled = true;
+  config.payload.erasure.enabled = true;
+  config.payload.erasure.restripe = true;
+  EXPECT_EQ(config.validate(), "--restripe 1 needs --membership 1 (deaths come from SWIM)");
+}
+
+TEST(DaemonConfigValidate, ProxyRolesNeedAnOrigin) {
+  for (const DaemonRole role : {DaemonRole::kAdcProxy, DaemonRole::kCarpProxy}) {
+    DaemonConfig config = daemon_config(role);
+    config.origin_id = kInvalidNode;
+    EXPECT_EQ(config.validate(), "proxies need --origin");
+  }
+}
+
+TEST(DaemonConfigValidate, NodeDaemonRefusesAnInvalidConfig) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.erasure.enabled = true;
+  try {
+    NodeDaemon daemon(config);
+    FAIL() << "NodeDaemon accepted an erasure tier without a payload store";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "NodeDaemon: --erasure 1 needs --payload 1");
+  }
 }
 
 }  // namespace

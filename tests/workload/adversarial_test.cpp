@@ -204,6 +204,10 @@ TEST(FloodScheme, NamesRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, scheme);
   }
+  EXPECT_EQ(flood_scheme_name(FloodScheme::kCarp), "carp");
+  EXPECT_EQ(flood_scheme_name(FloodScheme::kRing), "ring");
+  EXPECT_EQ(flood_scheme_name(FloodScheme::kRendezvous), "rendezvous");
+  EXPECT_EQ(parse_flood_scheme("HRW"), FloodScheme::kRendezvous);
   EXPECT_EQ(parse_flood_scheme("hrw"), FloodScheme::kRendezvous);
   EXPECT_EQ(parse_flood_scheme("consistent"), FloodScheme::kRing);
   EXPECT_FALSE(parse_flood_scheme("md5").has_value());

@@ -24,10 +24,10 @@ void Simulator::send(Message msg) {
 
   msg.hops += 1;
   network_.count_message(msg.kind, msg.payload_bytes);
-  if (observer_) observer_(msg, now_);
+  if (observer_) observer_(msg, now());
 
   FaultDecision fate;
-  if (fault_ != nullptr) fate = fault_->on_send(msg, now_);
+  if (fault_ != nullptr) fate = fault_->on_send(msg, now());
   if (fate.drop) return;
 
   const bool self_message = msg.sender == msg.target;
@@ -35,7 +35,7 @@ void Simulator::send(Message msg) {
                                          self_message) +
                         network_.node_delay(msg.target) + fate.extra_delay;
   const NodeId target = msg.target;
-  ADC_LOG_TRACE << "send t=" << now_ << " " << node(msg.sender).name() << " -> "
+  ADC_LOG_TRACE << "send t=" << now() << " " << node(msg.sender).name() << " -> "
                 << node(target).name() << " req=" << msg.request_id
                 << " kind=" << (msg.kind == MessageKind::kRequest ? "REQ" : "RPL")
                 << " hops=" << msg.hops;
@@ -43,26 +43,22 @@ void Simulator::send(Message msg) {
   // A fault-injected copy is a retransmission artifact, not a second
   // payload transfer, so copies bypass the link model and ride on the
   // plain latency.
-  for (int copy = 1; copy <= fate.duplicates; ++copy) deliver_at(now_ + delay + copy, msg);
+  for (int copy = 1; copy <= fate.duplicates; ++copy) deliver_at(now() + delay + copy, msg);
   if (link_ != nullptr && !self_message &&
-      link_->on_send(msg, node(msg.sender).kind(), node(target).kind(), now_, delay)) {
+      link_->on_send(msg, node(msg.sender).kind(), node(target).kind(), now(), delay)) {
     return;
   }
-  deliver_at(now_ + delay, msg);
+  deliver_at(now() + delay, msg);
 }
 
-void Simulator::deliver_at(SimTime at, const Message& msg) {
-  assert(at >= now_);
-  queue_.schedule_delivery(at, msg);
-}
+void Simulator::deliver_at(SimTime at, const Message& msg) { queue_.schedule_delivery(at, msg); }
 
 void Simulator::schedule(SimTime at, std::function<void()> action) {
-  assert(at >= now_);
   queue_.schedule(at, std::move(action));
 }
 
 void Simulator::schedule_after(SimTime delay, std::function<void()> action) {
-  schedule(now_ + delay, std::move(action));
+  schedule(now() + delay, std::move(action));
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {
@@ -72,9 +68,8 @@ std::uint64_t Simulator::run(std::uint64_t max_events) {
     nodes_[static_cast<std::size_t>(msg.target)]->on_message(*this, msg);
   };
   while (!queue_.empty() && executed < max_events) {
-    // Advance the clock before executing so events observe the correct
-    // current time when they send follow-up messages.
-    now_ = queue_.next_time();
+    // The queue advances the clock before running the event, so events
+    // observe the correct current time when they send follow-up messages.
     queue_.run_next(deliver);
     ++executed;
   }

@@ -45,8 +45,9 @@ class Simulator final : public Transport {
   void send(Message msg) override;
 
   /// Schedules the delivery of an already-sent message to `msg.target` at
-  /// `at` (>= now()), with no further hop accounting or hooks: the path a
-  /// LinkHook that owns a transfer uses to hand it back.
+  /// `at`, with no further hop accounting or hooks: the path a LinkHook
+  /// that owns a transfer uses to hand it back.  Like schedule(), throws
+  /// std::logic_error when `at` is before now().
   void deliver_at(SimTime at, const Message& msg);
 
   /// Schedules an arbitrary action (request injection, membership change).
@@ -57,7 +58,7 @@ class Simulator final : public Transport {
   /// Returns the number of events executed by this call.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  SimTime now() const noexcept override { return now_; }
+  SimTime now() const noexcept override { return queue_.now(); }
   bool idle() const noexcept { return queue_.empty(); }
 
   util::Rng& rng() noexcept override { return rng_; }
@@ -94,7 +95,6 @@ class Simulator final : public Transport {
   std::uint64_t messages_delivered() const noexcept { return messages_delivered_; }
 
  private:
-  SimTime now_ = 0;
   EventQueue queue_;
   std::vector<std::unique_ptr<Node>> nodes_;
   util::Rng rng_;

@@ -36,6 +36,7 @@ ErasureTier::ErasureTier(NodeId self, PayloadStorePtr store, std::vector<NodeId>
       repair_(store_->config().erasure.repair_bytes_per_round,
               store_->config().erasure.repair_max_attempts) {
   std::sort(members_.begin(), members_.end());
+  self_pos_ = position_of(self_);
   dead_.assign(members_.size(), 0);
   enabled_ = store_->config().erasure.enabled &&
              static_cast<int>(members_.size()) >= stripe_width();
@@ -305,20 +306,34 @@ ErasureTier::Resolution ErasureTier::on_chunk_reply(const sim::Message& msg) {
   return out;
 }
 
+bool ErasureTier::leads_repair(ObjectId object) const {
+  // Chunk-index order is rank order, so the first alive stripe member is
+  // this node exactly when this node is alive, ranks inside the stripe and
+  // every member outranking it is dead.  Outranking is TopScores' order: a
+  // higher score, or an equal score at a smaller position.
+  if (!enabled_ || self_pos_ == kNoMember || dead_[self_pos_] != 0) return false;
+  const std::uint64_t seed = store_->config().seed;
+  const std::uint64_t own = stripe_score(object, self_, seed);
+  const int width = stripe_width();
+  int above = 0;
+  for (std::uint32_t pos = 0; pos < members_.size(); ++pos) {
+    if (pos == self_pos_) continue;
+    const std::uint64_t score = stripe_score(object, members_[pos], seed);
+    if (score < own || (score == own && pos > self_pos_)) continue;
+    if (dead_[pos] == 0 || ++above == width) return false;
+  }
+  return true;
+}
+
 void ErasureTier::enqueue_repair_for(ObjectId object) {
-  const Stripe peers = place(object);
   // The repair leader is the first *alive* member of the original stripe
   // in chunk-index order — every survivor computes the same leader from
   // its own believed dead set, so exactly one node drives each stripe's
   // repair (modulo transient disagreement, which idempotent offers absorb).
-  NodeId leader = kInvalidNode;
-  for (int i = 0; i < peers.width; ++i) {
-    if (dead_[peers.at[i]] == 0) {
-      leader = members_[peers.at[i]];
-      break;
-    }
-  }
-  if (leader != self_) return;
+  // Most held chunks belong to stripes another survivor leads, so the rank
+  // test runs first and only leaders pay for placement.
+  if (!leads_repair(object)) return;
+  const Stripe peers = place(object);
   const Stripe owners = current_owners(object, peers);
   const std::uint64_t chunk = store_->chunk_size(object);
   for (int i = 0; i < peers.width; ++i) {

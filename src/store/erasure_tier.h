@@ -262,12 +262,19 @@ class ErasureTier {
   bool record_chunk(ObjectId object, int index, std::uint64_t bytes);
   void drop_chunk(ObjectId object);
 
+  /// True when this node is `object`'s repair leader: the first alive
+  /// member of place(object) in chunk-index order.  Decided from this
+  /// node's rank alone, stopping at the first alive member that outranks
+  /// it, without placing the stripe.
+  bool leads_repair(ObjectId object) const;
+
   /// Enqueues repair work for every dead-owned chunk index of `object`
-  /// when this node is the stripe's repair leader (first alive member in
-  /// chunk-index order).  Idempotent: re-enqueueing retargets in place.
+  /// when this node is the stripe's repair leader.  Idempotent:
+  /// re-enqueueing retargets in place.
   void enqueue_repair_for(ObjectId object);
 
   NodeId self_;
+  std::uint32_t self_pos_ = kNoMember;  // position of self_ in members_
   PayloadStorePtr store_;
   std::vector<NodeId> members_;
   RestripePlanner repair_;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <ostream>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -370,16 +371,37 @@ TEST(StripePlacementDiff, StripePeersMatchSortReference) {
 
 // --- Directory and repair queue ------------------------------------------
 
-struct Sequence {
+struct Limits {
   std::uint64_t seed;
   std::uint64_t directory_budget;
   std::uint64_t bytes_per_round;
 };
 
+const std::vector<NodeId> kEightMembers = {0, 1, 2, 3, 4, 5, 6, 7};
+
+/// One random operation sequence, run by `self` inside `members`.
+struct Sequence {
+  Limits limits;
+  std::vector<NodeId> members = kEightMembers;
+  NodeId self = 2;
+};
+
+/// Rows over the default membership print as their limits alone, so they
+/// keep the names they had before the membership became a parameter.
+void PrintTo(const Sequence& seq, std::ostream* os) {
+  *os << ::testing::PrintToString(seq.limits);
+  if (seq.members == kEightMembers && seq.self == 2) return;
+  *os << " members";
+  for (const NodeId m : seq.members) *os << " " << m;
+  *os << " self " << seq.self;
+}
+
 class DirectoryDiffTest : public ::testing::TestWithParam<Sequence> {};
 
 TEST_P(DirectoryDiffTest, RandomSequencesMatchTheNodeBasedTier) {
-  const Sequence seq = GetParam();
+  const Limits seq = GetParam().limits;
+  const std::vector<NodeId>& members = GetParam().members;
+  const NodeId self = GetParam().self;
   PayloadConfig config;
   config.enabled = true;
   config.seed = 97;
@@ -390,8 +412,12 @@ TEST_P(DirectoryDiffTest, RandomSequencesMatchTheNodeBasedTier) {
   config.erasure.repair_bytes_per_round = seq.bytes_per_round;
   config.erasure.repair_max_attempts = 3;
   const auto store = std::make_shared<const PayloadStore>(config);
-  const std::vector<NodeId> members = {0, 1, 2, 3, 4, 5, 6, 7};
-  const NodeId self = 2;
+  ASSERT_TRUE(std::is_sorted(members.begin(), members.end()));
+  const auto self_at = std::find(members.begin(), members.end(), self);
+  ASSERT_NE(self_at, members.end());
+  // Chunks arrive from the member mirroring self in the sorted list.
+  const NodeId sender = members[static_cast<std::size_t>(members.end() - self_at - 1)];
+  ASSERT_NE(sender, self);
 
   ErasureTier tier(self, store, members);
   RefTier ref(self, *store, members);
@@ -399,12 +425,12 @@ TEST_P(DirectoryDiffTest, RandomSequencesMatchTheNodeBasedTier) {
   util::Rng rng(seq.seed);
   constexpr ObjectId kObjects = 400;
 
-  const auto chunk_msg = [self](MessageKind kind, ObjectId object, int index,
-                                std::uint64_t bytes) {
+  const auto chunk_msg = [self, sender](MessageKind kind, ObjectId object, int index,
+                                        std::uint64_t bytes) {
     Message msg;
     msg.kind = kind;
     msg.object = object;
-    msg.sender = 7 - self;
+    msg.sender = sender;
     msg.target = self;
     msg.resolver = static_cast<NodeId>(index);
     msg.payload_bytes = bytes;
@@ -429,13 +455,13 @@ TEST_P(DirectoryDiffTest, RandomSequencesMatchTheNodeBasedTier) {
       tier.on_chunk_request(net, chunk_msg(MessageKind::kChunkRequest, object, index, 0));
       ref.touch(object, index);
     } else if (roll < 64) {
-      const NodeId peer = static_cast<NodeId>(rng.next() % members.size());
+      const NodeId peer = members[rng.next() % members.size()];
       if (peer != self) {
         tier.handle_peer_dead(peer);
         ref.handle_peer_dead(peer);
       }
     } else if (roll < 68) {
-      const NodeId peer = static_cast<NodeId>(rng.next() % members.size());
+      const NodeId peer = members[rng.next() % members.size()];
       tier.handle_peer_joined(peer);
       ref.handle_peer_joined(peer);
     } else if (roll < 80) {
@@ -483,11 +509,18 @@ TEST_P(DirectoryDiffTest, RandomSequencesMatchTheNodeBasedTier) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Budgets, DirectoryDiffTest,
-                         ::testing::Values(Sequence{1, 0, 0}, Sequence{2, 0, 64 * 1024},
-                                           Sequence{3, 256 * 1024, 0},
-                                           Sequence{4, 96 * 1024, 32 * 1024},
-                                           Sequence{5, 1024 * 1024, 128 * 1024}));
+INSTANTIATE_TEST_SUITE_P(
+    Budgets, DirectoryDiffTest,
+    ::testing::Values(Sequence{{1, 0, 0}}, Sequence{{2, 0, 64 * 1024}},
+                      Sequence{{3, 256 * 1024, 0}}, Sequence{{4, 96 * 1024, 32 * 1024}},
+                      Sequence{{5, 1024 * 1024, 128 * 1024}},
+                      // Stripe width 5 of 6 members: nearly every node is in
+                      // every stripe, so outranking members decide leadership.
+                      Sequence{{6, 0, 64 * 1024}, {0, 1, 2, 3, 4, 5}, 3},
+                      // Sparse ids with self the largest, the last position.
+                      Sequence{{7, 96 * 1024, 32 * 1024},
+                               {3, 5, 9, 14, 20, 21, 27, 33, 40, 41, 52, 60},
+                               60}));
 
 }  // namespace
 }  // namespace adc::store

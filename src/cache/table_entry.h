@@ -58,6 +58,12 @@ struct TableEntry {
     last = now;
   }
 
+  /// Claims only ratchet up: keeps the larger of the stored claim and
+  /// `newer`.
+  void raise_claim(std::uint64_t newer) noexcept {
+    if (claim < newer) claim = newer;
+  }
+
   /// Current aged value (paper Figure 4).  Lower is better (hotter).
   double aged(SimTime now) const noexcept {
     return (static_cast<double>(average) + static_cast<double>(now - last)) / 2.0;
@@ -67,8 +73,8 @@ struct TableEntry {
   /// aged value at every instant.
   SimTime skew() const noexcept { return average - last; }
 
-  /// Lookup key in the indexed tables (util::KeyedList).
-  std::uint64_t key() const noexcept { return object; }
+  bool operator==(const TableEntry&) const = default;
+
 };
 
 /// Creates the paper's "part 4" fresh entry: AVG 0, HITS 1, LAST = now.

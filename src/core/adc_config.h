@@ -4,7 +4,7 @@
 
 #include <cstddef>
 
-#include "cache/single_table.h"
+#include "cache/table_store.h"
 
 namespace adc::core {
 

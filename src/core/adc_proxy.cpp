@@ -144,11 +144,8 @@ void AdcProxy::receive_opinion(sim::Transport& net, const Message& msg) {
   }
 }
 
-std::uint64_t AdcProxy::stored_version(ObjectId object) const noexcept {
-  if (config_.selective_caching) {
-    const cache::TableEntry* entry = tables_.caching().find(object);
-    return entry != nullptr ? entry->version : 0;
-  }
+std::uint64_t AdcProxy::stored_version(ObjectId object, const Located& mine) const noexcept {
+  if (config_.selective_caching) return mine.cached() ? mine.entry->version : 0;
   const auto it = lru_versions_.find(object);
   return it == lru_versions_.end() ? 0 : it->second;
 }
@@ -197,14 +194,18 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
   ++local_time_;
   ++stats_.requests_received;
   const ObjectId object = msg.object;
+  // One lookup answers "cached?", the stored claim and the forward location.
+  const Located mine = tables_.locate(object);
 
-  if (is_locally_cached(object)) {
+  if (config_.selective_caching ? mine.cached() : lru_cache_->contains(object)) {
     ++stats_.local_hits;
     if (!config_.selective_caching) lru_cache_->touch(object);
     // Resolver event: answering locally re-asserts this proxy as the
     // object's location, one claim above everything the request saw on its
     // way here (its floor) and above our own stored claim.
-    const std::uint64_t claim = std::max(msg.claim, tables_.claim_of(object)) + 1;
+    const std::uint64_t claim = std::max(msg.claim, mine.claim()) + 1;
+    // Read before the update, which may move the entry.
+    const std::uint64_t version = stored_version(object, mine);
     tables_.update_entry(object, id(), local_time_, std::nullopt, claim);
 
     Message reply = msg;
@@ -214,7 +215,7 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
     reply.resolver = id();
     reply.cached = true;
     reply.proxy_hit = true;
-    reply.version = stored_version(object);
+    reply.version = version;
     reply.claim = claim;
     reply.payload_bytes = size_of(object);
     stats_.payload_bytes_served += reply.payload_bytes;
@@ -235,7 +236,7 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
   // status claims strictly above every participant's current knowledge —
   // which is what makes stale-claim rejection impossible on the journey's
   // own backward path (see mapping_tables.h).
-  forward.claim = std::max(msg.claim, tables_.claim_of(object));
+  forward.claim = std::max(msg.claim, mine.claim());
 
   const bool max_hops = msg.forward_count >= config_.max_forwards;
   if (loop || max_hops) {
@@ -244,7 +245,7 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
     ++stats_.forwards_origin;
     forward.target = origin_;
   } else {
-    forward.target = forward_address(net, object);
+    forward.target = forward_address(net, mine);
   }
 
   // Degraded-read window: an origin-bound search after a confirmed peer
@@ -280,7 +281,7 @@ void AdcProxy::handle_chunk_reply(Transport& net, const Message& msg) {
       reply.degraded = true;
       reply.hops = msg.hops;
       reply.payload_bytes = res.object_bytes;
-      reply.version = stored_version(reply.object);
+      reply.version = stored_version(reply.object, tables_.locate(reply.object));
       stats_.payload_bytes_served += reply.payload_bytes;
       receive_reply(net, reply);
       return;
@@ -298,21 +299,21 @@ void AdcProxy::handle_chunk_reply(Transport& net, const Message& msg) {
 }
 
 // Paper Figure 6 (Forward_Addr).
-NodeId AdcProxy::forward_address(Transport& net, ObjectId object) {
-  const auto location = tables_.forward_location(object);
-  if (!location.has_value()) {
+NodeId AdcProxy::forward_address(Transport& net, const Located& mine) {
+  if (mine.entry == nullptr) {
     // Unknown object: random peer over the full membership, self included.
     ++stats_.forwards_random;
     return proxies_[net.rng().index(proxies_.size())];
   }
-  if (*location == id()) {
+  const NodeId location = mine.entry->location;
+  if (location == id()) {
     // THIS marker: we are responsible but do not hold the data — the
     // search terminates at the origin server (paper Section III.3.2).
     ++stats_.forwards_origin;
     return origin_;
   }
   ++stats_.forwards_learned;
-  return *location;
+  return location;
 }
 
 // Paper Figure 7 (Receive_Reply).
@@ -342,12 +343,18 @@ void AdcProxy::receive_reply(Transport& net, const Message& msg) {
     if (erasure_ != nullptr) erasure_->stripe_object(net, reply.object);
   }
 
+  // The object's entry as this reply leaves it: update_entry hands it back,
+  // and a proxy that does not learn looks it up.
   const bool learn = config_.backward_multicast || reply.resolver == id();
+  Located mine;
   if (learn) {
     const UpdateResult update = tables_.update_entry(reply.object, reply.resolver, local_time_,
                                                      reply.version, reply.claim);
     if (update.promoted_to_cache) ++stats_.cache_admissions;
     if (update.rejected_stale) ++stats_.stale_claims_rejected;
+    mine = {update.entry, update.placement};
+  } else {
+    mine = tables_.locate(reply.object);
   }
 
   if (!config_.selective_caching) {
@@ -364,11 +371,13 @@ void AdcProxy::receive_reply(Transport& net, const Message& msg) {
   // path cached it yet, we become the official location for upstream
   // proxies (focus on a single caching location, Section IV.2).  Another
   // resolver event: re-claim one above the reply's running claim.
-  if (is_locally_cached(reply.object) && !reply.cached) {
+  const bool cached =
+      config_.selective_caching ? mine.cached() : lru_cache_->contains(reply.object);
+  if (cached && !reply.cached) {
     reply.resolver = id();
     reply.cached = true;
-    reply.claim = std::max(reply.claim, tables_.claim_of(reply.object)) + 1;
-    tables_.stamp_claim(reply.object, reply.claim);
+    reply.claim = std::max(reply.claim, mine.claim()) + 1;
+    if (mine.entry != nullptr) mine.entry->raise_claim(reply.claim);
     ++stats_.resolver_claims;
   }
 

@@ -124,7 +124,7 @@ class AdcProxy final : public sim::ProxyAgent {
   void handle_chunk_reply(sim::Transport& net, const sim::Message& msg);
 
   /// Paper Figure 6: table lookup, THIS -> origin, unknown -> random peer.
-  NodeId forward_address(sim::Transport& net, ObjectId object);
+  NodeId forward_address(sim::Transport& net, const Located& mine);
 
   AdcConfig config_;
   MappingTables tables_;
@@ -137,8 +137,9 @@ class AdcProxy final : public sim::ProxyAgent {
   /// Pending-backwarding records per request id.
   sim::PendingRecords pending_;
 
-  /// Version of the locally cached copy (0 when absent or versioning off).
-  std::uint64_t stored_version(ObjectId object) const noexcept;
+  /// Version of the locally cached copy (0 when absent or versioning off);
+  /// `mine` is the object's table entry as located.
+  std::uint64_t stored_version(ObjectId object, const Located& mine) const noexcept;
 
   /// ABL-SEL mode: admit-all LRU cache replacing the ordered caching table,
   /// plus the data versions of its contents.

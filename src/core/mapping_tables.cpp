@@ -1,33 +1,193 @@
 #include "core/mapping_tables.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace adc::core {
 
 using cache::TableEntry;
 
+namespace {
+
+cache::TableCapacities capacities_of(const AdcConfig& config) {
+  cache::TableCapacities capacities;
+  // A single-table of capacity 0 would still hold the entry just created,
+  // exactly like capacity 1.
+  capacities.single = std::max<std::size_t>(1, config.single_table_size);
+  capacities.multiple = config.multiple_table_size;
+  capacities.caching = config.selective_caching ? config.caching_table_size : 0;
+  return capacities;
+}
+
+/// Refreshes a hit entry (Calc_Average) and records what the update
+/// carries: the location, the data version when data passed, and the claim
+/// (claims only ratchet up).
+void touch(TableEntry& e, NodeId location, SimTime now, std::optional<std::uint64_t> data_version,
+           std::uint64_t claim) {
+  e.calc_average(now);
+  e.location = location;
+  if (data_version.has_value()) e.version = *data_version;
+  e.raise_claim(claim);
+}
+
+/// Paper Figure 8 against either row store.
+template <typename Rows>
+UpdateResult update_entry_in(Rows& rows, ObjectId object, NodeId location, SimTime now,
+                             std::optional<std::uint64_t> data_version, std::uint64_t claim) {
+  using cache::TableId;
+  UpdateResult result;
+  auto h = rows.locate(object);
+
+  if (!h.found()) {
+    // PART 4 — unknown object: fresh entry on top of the single-table; the
+    // bottom entry drops out of the system when the table is full.
+    TableEntry fresh = cache::make_entry(object, location, now);
+    fresh.version = data_version.value_or(0);
+    fresh.claim = claim;
+    if (rows.size(TableId::kSingle) >= rows.capacity(TableId::kSingle)) rows.erase(rows.tail());
+    result.entry = &rows.entry(rows.insert(TableId::kSingle, fresh));
+    result.placement = TableId::kSingle;
+    result.created = true;
+    return result;
+  }
+
+  // Stale-claim rejection: an update carrying a strictly older claim than
+  // the stored entry's is pre-partition news — learning from it would
+  // overwrite a fresher resolver opinion, so it is dropped before any
+  // table state changes (no aging, no reordering).
+  if (rows.entry(h).claim > claim) {
+    result.entry = &rows.entry(h);
+    result.placement = h.table;
+    result.rejected_stale = true;
+    return result;
+  }
+
+  // Parts 1-3 refresh the entry where it stands, then place it: a move
+  // when it outperforms the next table's worst, a refresh otherwise.
+  touch(rows.entry(h), location, now, data_version, claim);
+  const double aged = rows.entry(h).aged(now);
+  if (h.table == TableId::kCaching) {
+    // PART 1 — the entry is cached: it takes its new order position.  A
+    // cached entry is never demoted here; demotion only happens when a
+    // multiple-table entry outperforms it (part 2).
+    h = rows.refresh(h);
+  } else if (h.table == TableId::kMultiple &&
+             aged < cache::worst_aged(rows, TableId::kCaching, now)) {
+    // PART 2 — a multiple-table entry that beats the cache's current worst
+    // moves into the caching table; the displaced cache entry falls back
+    // into the slot this entry frees.
+    const auto d = rows.detach(h);
+    if (rows.size(TableId::kCaching) >= rows.capacity(TableId::kCaching)) {
+      rows.move(rows.worst(TableId::kCaching), TableId::kMultiple);
+      result.demoted_from_cache = true;
+    }
+    h = rows.attach(d, TableId::kCaching);
+    result.promoted_to_cache = true;
+  } else if (h.table == TableId::kSingle &&
+             aged < cache::worst_aged(rows, TableId::kMultiple, now)) {
+    // PART 3 — a single-table entry's second (or later) hit makes its
+    // average meaningful; it moves into the multiple-table iff it beats
+    // that table's worst, whose victim returns to the top of the
+    // single-table.
+    const auto d = rows.detach(h);
+    if (rows.size(TableId::kMultiple) >= rows.capacity(TableId::kMultiple)) {
+      rows.move(rows.worst(TableId::kMultiple), TableId::kSingle);
+    }
+    h = rows.attach(d, TableId::kMultiple);
+  } else {
+    // Parts 2 and 3 without a move: a new order position in the same
+    // table (the single-table's top).
+    h = rows.refresh(h);
+  }
+  result.placement = h.table;
+  result.entry = &rows.entry(h);
+  return result;
+}
+
+}  // namespace
+
+// --- TableView -------------------------------------------------------------
+
+std::size_t TableView::size() const noexcept {
+  return tables_.store_.visit([this](const auto& rows) { return rows.size(table_); });
+}
+
+std::size_t TableView::capacity() const noexcept {
+  return tables_.store_.visit([this](const auto& rows) { return rows.capacity(table_); });
+}
+
+const TableEntry* TableView::find(ObjectId object) const noexcept {
+  return tables_.store_.visit([this, object](const auto& rows) -> const TableEntry* {
+    const auto h = rows.locate(object);
+    return h.found() && h.table == table_ ? &rows.entry(h) : nullptr;
+  });
+}
+
+const TableEntry* TableView::best() const {
+  const TableEntry* out = nullptr;
+  tables_.store_.visit([this, &out](const auto& rows) {
+    rows.for_each(table_, [&out](const TableEntry& e) {
+      if (out == nullptr) out = &e;
+    });
+  });
+  return out;
+}
+
+const TableEntry* TableView::worst() const {
+  return tables_.store_.visit([this](const auto& rows) -> const TableEntry* {
+    if (rows.size(table_) == 0) return nullptr;
+    return &rows.entry(table_ == TablePlacement::kSingle ? rows.tail() : rows.worst(table_));
+  });
+}
+
+void TableView::for_each(const std::function<void(const TableEntry&)>& fn) const {
+  tables_.store_.visit([this, &fn](const auto& rows) { rows.for_each(table_, fn); });
+}
+
+std::vector<TableEntry> TableView::snapshot() const {
+  std::vector<TableEntry> out;
+  out.reserve(size());
+  for_each([&out](const TableEntry& e) { out.push_back(e); });
+  return out;
+}
+
+// --- MappingTables ---------------------------------------------------------
+
 MappingTables::MappingTables(const AdcConfig& config)
-    : single_(cache::make_single_table(config.single_table_size, config.table_impl)),
-      multiple_(cache::make_ordered_table(config.multiple_table_size, config.table_impl)),
-      caching_(config.selective_caching
-                   ? cache::make_ordered_table(config.caching_table_size, config.table_impl)
-                   : nullptr) {}
+    : store_(config.table_impl, capacities_of(config)) {}
+
+UpdateResult MappingTables::update_entry(ObjectId object, NodeId location, SimTime now,
+                                         std::optional<std::uint64_t> data_version,
+                                         std::uint64_t claim) {
+  return store_.visit([&](auto& rows) {
+    return update_entry_in(rows, object, location, now, data_version, claim);
+  });
+}
+
+Located MappingTables::locate(ObjectId object) noexcept {
+  return store_.visit([object](auto& rows) -> Located {
+    const auto h = rows.locate(object);
+    if (!h.found()) return {};
+    return {&rows.entry(h), h.table};
+  });
+}
+
+const TableEntry* MappingTables::find(ObjectId object) const noexcept {
+  return store_.visit([object](const auto& rows) -> const TableEntry* {
+    const auto h = rows.locate(object);
+    return h.found() ? &rows.entry(h) : nullptr;
+  });
+}
 
 bool MappingTables::is_cached(ObjectId object) const noexcept {
-  return caching_ != nullptr && caching_->contains(object);
+  return store_.visit([object](const auto& rows) {
+    const auto h = rows.locate(object);
+    return h.found() && h.table == TablePlacement::kCaching;
+  });
 }
 
 std::optional<NodeId> MappingTables::forward_location(ObjectId object) const noexcept {
   if (const TableEntry* e = find(object)) return e->location;
   return std::nullopt;
-}
-
-const TableEntry* MappingTables::find(ObjectId object) const noexcept {
-  if (caching_ != nullptr) {
-    if (const TableEntry* e = caching_->find(object)) return e;
-  }
-  if (const TableEntry* e = multiple_->find(object)) return e;
-  return single_->find(object);
 }
 
 std::uint64_t MappingTables::claim_of(ObjectId object) const noexcept {
@@ -36,185 +196,58 @@ std::uint64_t MappingTables::claim_of(ObjectId object) const noexcept {
 }
 
 bool MappingTables::repair_location(ObjectId object, NodeId location, std::uint64_t claim) {
-  if (caching_ != nullptr && caching_->contains(object)) return false;
-  TableEntry* e = multiple_->find_mutable(object);
-  if (e == nullptr) e = single_->find_mutable(object);
-  if (e == nullptr) return false;
-  e->location = location;
-  e->claim = claim;
+  const Located mine = locate(object);
+  if (mine.entry == nullptr || mine.cached()) return false;
+  mine.entry->location = location;
+  mine.entry->claim = claim;
   return true;
 }
 
 void MappingTables::stamp_claim(ObjectId object, std::uint64_t claim) {
-  TableEntry* e = caching_ != nullptr ? caching_->find_mutable(object) : nullptr;
-  if (e == nullptr) e = multiple_->find_mutable(object);
-  if (e == nullptr) e = single_->find_mutable(object);
-  if (e != nullptr && e->claim < claim) e->claim = claim;
+  if (TableEntry* e = locate(object).entry) e->raise_claim(claim);
 }
 
 std::size_t MappingTables::total_entries() const noexcept {
-  return single_->size() + multiple_->size() + (caching_ != nullptr ? caching_->size() : 0);
+  return single().size() + multiple().size() + caching().size();
 }
 
 void MappingTables::clear() {
-  single_->clear();
-  multiple_->clear();
-  if (caching_ != nullptr) caching_->clear();
+  store_.visit([](auto& rows) { rows.clear(); });
 }
 
 std::size_t MappingTables::invalidate_location(NodeId location) {
-  std::vector<ObjectId> victims;
-  for (const TableEntry& e : single_->snapshot()) {
-    if (e.location == location) victims.push_back(e.object);
-  }
-  for (ObjectId object : victims) single_->remove(object);
-  std::size_t removed = victims.size();
-
-  victims.clear();
-  multiple_->for_each([&victims, location](const TableEntry& e) {
-    if (e.location == location) victims.push_back(e.object);
+  return store_.visit([location](auto& rows) {
+    const auto points_there = [location](const TableEntry& e) { return e.location == location; };
+    return rows.erase_if(TablePlacement::kSingle, points_there) +
+           rows.erase_if(TablePlacement::kMultiple, points_there);
   });
-  for (ObjectId object : victims) multiple_->remove(object);
-  removed += victims.size();
-  return removed;
 }
 
 void MappingTables::warm_cache(ObjectId object, NodeId location, SimTime now,
                                std::uint64_t version) {
-  if (caching_ == nullptr || caching_->contains(object)) return;
-  // Drop any colder bookkeeping entry so the object lives in exactly one
-  // table.
-  multiple_->remove(object);
-  single_->remove(object);
-  if (caching_->full()) {
-    auto demoted = caching_->remove_worst();
-    assert(demoted.has_value());
-    if (!multiple_->full()) multiple_->insert(*demoted);
-  }
-  cache::TableEntry entry = cache::make_entry(object, location, now);
-  entry.hits = 2;  // behave like an established entry, not a part-4 fresh one
-  entry.version = version;
-  caching_->insert(entry);
-}
-
-UpdateResult MappingTables::update_entry(ObjectId object, NodeId location, SimTime now,
-                                         std::optional<std::uint64_t> data_version,
-                                         std::uint64_t claim) {
-  // Stale-claim rejection: an update carrying a strictly older claim than
-  // the stored entry's is pre-partition news — learning from it would
-  // overwrite a fresher resolver opinion, so it is dropped before any
-  // table state changes (no aging, no reordering).
-  const auto stale = [claim](const TableEntry& existing) { return existing.claim > claim; };
-  UpdateResult rejected;
-  rejected.rejected_stale = true;
-
-  // Figure 8, parts 1-4, searched in the order caching, multiple, single.
-  if (caching_ != nullptr) {
-    if (const TableEntry* e = caching_->find(object)) {
-      if (stale(*e)) return rejected;
-      return update_in_caching(*caching_->remove(object), location, now, data_version, claim);
+  store_.visit([&](auto& rows) {
+    using cache::TableId;
+    if (rows.capacity(TableId::kCaching) == 0) return;
+    const auto h = rows.locate(object);
+    if (h.found()) {
+      if (h.table == TableId::kCaching) return;
+      // Drop the colder bookkeeping entry so the object lives in exactly
+      // one table.
+      rows.erase(h);
     }
-  }
-  if (const TableEntry* e = multiple_->find(object)) {
-    if (stale(*e)) return rejected;
-    return update_in_multiple(*multiple_->remove(object), location, now, data_version, claim);
-  }
-  if (const TableEntry* e = single_->find(object)) {
-    if (stale(*e)) return rejected;
-    return update_in_single(*single_->remove(object), location, now, data_version, claim);
-  }
-  return create_entry(object, location, now, data_version, claim);
-}
-
-// PART 1 — the entry is cached: refresh and reinsert at its new order
-// position.  A cached entry is never demoted here; demotion only happens
-// when a multiple-table entry outperforms it (part 2).
-UpdateResult MappingTables::update_in_caching(TableEntry entry, NodeId location, SimTime now,
-                                              std::optional<std::uint64_t> data_version,
-                                              std::uint64_t claim) {
-  entry.calc_average(now);
-  entry.location = location;
-  if (data_version.has_value()) entry.version = *data_version;
-  if (entry.claim < claim) entry.claim = claim;
-  caching_->insert(entry);  // one slot is free: we just removed the entry
-  UpdateResult result;
-  result.placement = TablePlacement::kCaching;
-  return result;
-}
-
-// PART 2 — the entry is in the multiple-table: it moves into the caching
-// table iff its aged average beats the cache's current worst; the displaced
-// cache entry falls back into the multiple-table.
-UpdateResult MappingTables::update_in_multiple(TableEntry entry, NodeId location, SimTime now,
-                                               std::optional<std::uint64_t> data_version,
-                                               std::uint64_t claim) {
-  entry.calc_average(now);
-  entry.location = location;
-  if (data_version.has_value()) entry.version = *data_version;
-  if (entry.claim < claim) entry.claim = claim;
-
-  UpdateResult result;
-  if (caching_ != nullptr && entry.aged(now) < caching_->worst_aged(now)) {
-    if (caching_->full()) {
-      auto demoted = caching_->remove_worst();
-      assert(demoted.has_value());
-      // The multiple-table has a free slot (the entry was removed above),
-      // so this insert cannot overflow.
-      multiple_->insert(*demoted);
-      result.demoted_from_cache = true;
+    if (rows.size(TableId::kCaching) >= rows.capacity(TableId::kCaching)) {
+      const auto demoted = rows.worst(TableId::kCaching);
+      if (rows.size(TableId::kMultiple) < rows.capacity(TableId::kMultiple)) {
+        rows.move(demoted, TableId::kMultiple);
+      } else {
+        rows.erase(demoted);
+      }
     }
-    caching_->insert(entry);
-    result.placement = TablePlacement::kCaching;
-    result.promoted_to_cache = true;
-  } else {
-    multiple_->insert(entry);
-    result.placement = TablePlacement::kMultiple;
-  }
-  return result;
-}
-
-// PART 3 — the entry is in the single-table: a second (or later) hit has
-// occurred, so the average is now meaningful; it moves into the
-// multiple-table iff it beats that table's worst, whose victim returns to
-// the top of the single-table.
-UpdateResult MappingTables::update_in_single(TableEntry entry, NodeId location, SimTime now,
-                                             std::optional<std::uint64_t> data_version,
-                                             std::uint64_t claim) {
-  entry.calc_average(now);
-  entry.location = location;
-  if (data_version.has_value()) entry.version = *data_version;
-  if (entry.claim < claim) entry.claim = claim;
-
-  UpdateResult result;
-  if (entry.aged(now) < multiple_->worst_aged(now)) {
-    if (multiple_->full()) {
-      auto demoted = multiple_->remove_worst();
-      assert(demoted.has_value());
-      // The single-table has a free slot (the entry was removed above).
-      single_->insert_on_top(*demoted);
-    }
-    multiple_->insert(entry);
-    result.placement = TablePlacement::kMultiple;
-  } else {
-    single_->insert_on_top(entry);
-    result.placement = TablePlacement::kSingle;
-  }
-  return result;
-}
-
-// PART 4 — unknown object: fresh entry on top of the single-table; the
-// bottom entry drops out of the system when the table is full.
-UpdateResult MappingTables::create_entry(ObjectId object, NodeId location, SimTime now,
-                                         std::optional<std::uint64_t> data_version,
-                                         std::uint64_t claim) {
-  cache::TableEntry entry = cache::make_entry(object, location, now);
-  entry.version = data_version.value_or(0);
-  entry.claim = claim;
-  single_->insert_on_top(entry);
-  UpdateResult result;
-  result.placement = TablePlacement::kSingle;
-  result.created = true;
-  return result;
+    TableEntry entry = cache::make_entry(object, location, now);
+    entry.hits = 2;  // behave like an established entry, not a part-4 fresh one
+    entry.version = version;
+    rows.insert(TableId::kCaching, entry);
+  });
 }
 
 }  // namespace adc::core

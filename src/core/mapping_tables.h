@@ -10,35 +10,82 @@
 //  * caching table — the subset the proxy actually stores, also ordered by
 //    aged average (selective caching, Section III.4).
 //
-// This class is pure data logic: no messaging, no clock.  The proxy feeds
-// it the local time, which makes every transition unit-testable.
+// The tables own their rows through one cache::TableStore (see
+// cache/table_store.h).  Every public call dispatches once to the
+// configured store; Update_Entry is written once against the stores'
+// shared handle API.  This class is pure data logic: no messaging, no
+// clock.  The proxy feeds it the local time, which makes every transition
+// unit-testable.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <optional>
+#include <vector>
 
-#include "cache/ordered_table.h"
-#include "cache/single_table.h"
 #include "cache/table_entry.h"
+#include "cache/table_store.h"
 #include "core/adc_config.h"
 #include "util/types.h"
 
 namespace adc::core {
 
-/// Which table an entry landed in after an update (for stats and tests).
-enum class TablePlacement {
-  kCaching,
-  kMultiple,
-  kSingle,
-};
+/// Which table an entry lives in (for stats and tests).
+using TablePlacement = cache::TableId;
 
 struct UpdateResult {
+  /// The table holding the object after the call (also when rejected).
   TablePlacement placement = TablePlacement::kSingle;
   bool created = false;            // part 4 ran (object previously unknown)
   bool promoted_to_cache = false;  // object newly entered the caching table
   bool demoted_from_cache = false; // some other object left the caching table
   bool rejected_stale = false;     // claim older than the stored one; no change
+  /// The object's entry after the call; valid until the tables next change.
+  cache::TableEntry* entry = nullptr;
+};
+
+/// An object's entry and the table holding it, found by one lookup.
+/// `entry` is null when the object is unknown.  It stays valid until the
+/// tables next change; only fields that are not ordering keys (location,
+/// claim, version) may be edited through it.
+struct Located {
+  cache::TableEntry* entry = nullptr;
+  TablePlacement table = TablePlacement::kSingle;
+
+  bool cached() const noexcept { return entry != nullptr && table == TablePlacement::kCaching; }
+  std::uint64_t claim() const noexcept { return entry != nullptr ? entry->claim : 0; }
+};
+
+class MappingTables;
+
+/// Read-only view of one table, for tests, stats and diagnostics.  Each
+/// call dispatches to the store.
+class TableView {
+ public:
+  TableView(const MappingTables& tables, TablePlacement table) : tables_(tables), table_(table) {}
+
+  std::size_t size() const noexcept;
+  std::size_t capacity() const noexcept;
+  bool empty() const noexcept { return size() == 0; }
+  bool full() const noexcept { return size() >= capacity(); }
+
+  /// The object's entry when it lives in this table; nullptr otherwise.
+  const cache::TableEntry* find(ObjectId object) const noexcept;
+  bool contains(ObjectId object) const noexcept { return find(object) != nullptr; }
+
+  /// First and last entry in table order (single-table: top and bottom;
+  /// ordered tables: hottest and worst); nullptr when empty.
+  const cache::TableEntry* best() const;
+  const cache::TableEntry* worst() const;
+
+  /// Visits entries in table order.  Ordered tables sort a copy of their
+  /// heap in indexed mode, so the per-request path never iterates.
+  void for_each(const std::function<void(const cache::TableEntry&)>& fn) const;
+  std::vector<cache::TableEntry> snapshot() const;
+
+ private:
+  const MappingTables& tables_;
+  TablePlacement table_;
 };
 
 class MappingTables {
@@ -59,6 +106,9 @@ class MappingTables {
                             std::optional<std::uint64_t> data_version = std::nullopt,
                             std::uint64_t claim = 0);
 
+  /// One lookup answering where the object lives and what it stores.
+  Located locate(ObjectId object) noexcept;
+
   /// True when the object sits in the caching table — i.e. the proxy holds
   /// the object's data (the paper's "locally cached" test).
   bool is_cached(ObjectId object) const noexcept;
@@ -67,8 +117,7 @@ class MappingTables {
   /// single table and returns the stored location; nullopt when unknown.
   std::optional<NodeId> forward_location(ObjectId object) const noexcept;
 
-  /// The entry for `object` wherever it lives (caching, multiple, single
-  /// order — the forward_location search order); nullptr when unknown.
+  /// The entry for `object` wherever it lives; nullptr when unknown.
   const cache::TableEntry* find(ObjectId object) const noexcept;
 
   /// Resolver-claim version stored for `object`; 0 when unknown or
@@ -84,8 +133,7 @@ class MappingTables {
   bool repair_location(ObjectId object, NodeId location, std::uint64_t claim);
 
   /// Raises the stored claim of an existing entry to at least `claim`
-  /// (in place, no aging).  Used when a proxy re-claims resolver status
-  /// for an object it just admitted to its cache.
+  /// (in place, no aging).
   void stamp_claim(ObjectId object, std::uint64_t claim);
 
   /// Drops every single- and multiple-table entry whose believed location
@@ -103,28 +151,19 @@ class MappingTables {
                   std::uint64_t version = 0);
 
   /// Read-only access for tests, stats and diagnostics.
-  const cache::SingleTable& single() const noexcept { return *single_; }
-  const cache::OrderedTable& multiple() const noexcept { return *multiple_; }
-  const cache::OrderedTable& caching() const noexcept { return *caching_; }
-  bool has_caching_table() const noexcept { return caching_ != nullptr; }
+  TableView single() const noexcept { return {*this, TablePlacement::kSingle}; }
+  TableView multiple() const noexcept { return {*this, TablePlacement::kMultiple}; }
+  TableView caching() const noexcept { return {*this, TablePlacement::kCaching}; }
+  bool has_caching_table() const noexcept { return caching().capacity() != 0; }
 
   std::size_t total_entries() const noexcept;
 
   void clear();
 
  private:
-  UpdateResult update_in_caching(cache::TableEntry entry, NodeId location, SimTime now,
-                                 std::optional<std::uint64_t> data_version, std::uint64_t claim);
-  UpdateResult update_in_multiple(cache::TableEntry entry, NodeId location, SimTime now,
-                                  std::optional<std::uint64_t> data_version, std::uint64_t claim);
-  UpdateResult update_in_single(cache::TableEntry entry, NodeId location, SimTime now,
-                                std::optional<std::uint64_t> data_version, std::uint64_t claim);
-  UpdateResult create_entry(ObjectId object, NodeId location, SimTime now,
-                            std::optional<std::uint64_t> data_version, std::uint64_t claim);
+  friend class TableView;
 
-  std::unique_ptr<cache::SingleTable> single_;
-  std::unique_ptr<cache::OrderedTable> multiple_;
-  std::unique_ptr<cache::OrderedTable> caching_;  // null in ABL-SEL mode
+  cache::TableStore store_;
 };
 
 }  // namespace adc::core

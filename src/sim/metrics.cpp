@@ -57,9 +57,12 @@ void PercentileTracker::add(double value) {
   phase_ = (phase_ + 1) % stride_;
   if (samples_.size() == cap_) {
     // Keep every other stored sample and halve the future sampling rate:
-    // deterministic, no RNG, bounded memory.  (If a percentile() call
-    // already sorted the store, this thins the order statistics uniformly
-    // instead of the arrival sequence — either is an unbiased subsample.)
+    // deterministic, no RNG, bounded memory.  (Samples a percentile() call
+    // has seen are thinned in sorted order — uniformly over the order
+    // statistics instead of the arrival sequence; either is an unbiased
+    // subsample.)
+    std::sort(samples_.begin(), samples_.begin() + static_cast<std::ptrdiff_t>(selected_));
+    selected_ = 0;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < samples_.size(); i += 2) samples_[kept++] = samples_[i];
     samples_.resize(kept);
@@ -67,22 +70,20 @@ void PercentileTracker::add(double value) {
     phase_ = 1 % stride_;
   }
   samples_.push_back(value);
-  sorted_ = false;
 }
 
 double PercentileTracker::percentile(double q) const {
   if (samples_.empty()) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   const auto n = static_cast<double>(samples_.size());
   auto rank = static_cast<std::size_t>(std::ceil(q * n));
   if (rank == 0) rank = 1;  // q == 0 means "the minimum value"
   if (rank > samples_.size()) rank = samples_.size();
-  return samples_[rank - 1];
+  const auto kth = samples_.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+  std::nth_element(samples_.begin(), kth, samples_.end());
+  selected_ = samples_.size();
+  return *kth;
 }
 
 void PercentileTracker::clear() {
@@ -90,7 +91,7 @@ void PercentileTracker::clear() {
   stride_ = 1;
   phase_ = 0;
   added_ = 0;
-  sorted_ = true;
+  selected_ = 0;
 }
 
 void IntHistogram::add(int value) noexcept {
@@ -130,17 +131,25 @@ double IntHistogram::mean() const noexcept {
 }
 
 void MovingAverage::add(double value) noexcept {
-  values_.push_back(value);
+  // Add first, then subtract the value leaving the window: the order the
+  // series' rounding depends on.
   sum_ += value;
-  if (values_.size() > window_) {
-    sum_ -= values_.front();
-    values_.pop_front();
+  if (count_ < ring_.size()) {
+    ring_[count_++] = value;
+    return;
   }
+  if (ring_.empty()) {
+    sum_ -= value;
+    return;
+  }
+  sum_ -= ring_[oldest_];
+  ring_[oldest_] = value;
+  if (++oldest_ == ring_.size()) oldest_ = 0;
 }
 
 double MovingAverage::value() const noexcept {
-  if (values_.empty()) return 0.0;
-  return sum_ / static_cast<double>(values_.size());
+  if (count_ == 0) return 0.0;
+  return sum_ / static_cast<double>(count_);
 }
 
 MetricsCollector::MetricsCollector(std::size_t ma_window, std::uint64_t sample_every)

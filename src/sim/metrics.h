@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -67,9 +66,10 @@ class IntHistogram {
 };
 
 /// Deterministic percentile estimator over double-valued samples (request
-/// latencies).  Samples are stored and the percentile is read off a sorted
-/// copy, so the result is independent of accumulation order — unlike a
-/// running double sum, whose rounding depends on the order values arrive.
+/// latencies).  Samples are stored and each percentile is selected from
+/// them (nearest rank), so the result is independent of accumulation order
+/// — unlike a running double sum, whose rounding depends on the order
+/// values arrive.
 /// The simulator's MetricsCollector and the live runtime's adc_loadgen
 /// share this class so both report percentiles with identical semantics.
 ///
@@ -101,22 +101,27 @@ class PercentileTracker {
   std::size_t phase_ = 0;    // position within the current stride
   std::uint64_t added_ = 0;
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  /// Leading samples a percentile() selection has permuted since the last
+  /// decimation.  Decimation sorts them first, so it thins the sorted order
+  /// of every sample a query has seen, whatever the selection left behind.
+  mutable std::size_t selected_ = 0;
 };
 
-/// Fixed-window moving average over doubles.
+/// Fixed-window moving average over doubles, kept in a ring of `window`
+/// slots.
 class MovingAverage {
  public:
-  explicit MovingAverage(std::size_t window) : window_(window) {}
+  explicit MovingAverage(std::size_t window) : ring_(window) {}
 
   void add(double value) noexcept;
   double value() const noexcept;
-  std::size_t count() const noexcept { return values_.size(); }
-  std::size_t window() const noexcept { return window_; }
+  std::size_t count() const noexcept { return count_; }
+  std::size_t window() const noexcept { return ring_.size(); }
 
  private:
-  std::size_t window_;
-  std::deque<double> values_;
+  std::vector<double> ring_;
+  std::size_t oldest_ = 0;  // slot of the oldest value once the ring is full
+  std::size_t count_ = 0;
   double sum_ = 0.0;
 };
 

@@ -71,7 +71,8 @@ ErasureTier::Stripe ErasureTier::current_owners(ObjectId object, const Stripe& s
     }
     return false;
   };
-  std::array<std::uint32_t, kMaxStripeWidth> taken{};  // one chunk per replacement
+  // One chunk per replacement; only the first taken_count slots are read.
+  std::array<std::uint32_t, kMaxStripeWidth> taken;
   int taken_count = 0;
   const auto is_taken = [&taken, &taken_count](std::uint32_t pos) {
     for (int t = 0; t < taken_count; ++t) {
@@ -325,7 +326,7 @@ bool ErasureTier::leads_repair(ObjectId object) const {
   return true;
 }
 
-void ErasureTier::enqueue_repair_for(ObjectId object) {
+void ErasureTier::enqueue_repair_for(ObjectId object, std::uint64_t chunk_bytes) {
   // The repair leader is the first *alive* member of the original stripe
   // in chunk-index order — every survivor computes the same leader from
   // its own believed dead set, so exactly one node drives each stripe's
@@ -335,7 +336,6 @@ void ErasureTier::enqueue_repair_for(ObjectId object) {
   if (!leads_repair(object)) return;
   const Stripe peers = place(object);
   const Stripe owners = current_owners(object, peers);
-  const std::uint64_t chunk = store_->chunk_size(object);
   for (int i = 0; i < peers.width; ++i) {
     if (dead_[peers.at[i]] == 0) continue;      // original owner still alive
     if (owners.at[i] == kNoMember) continue;    // no eligible replacement
@@ -344,7 +344,7 @@ void ErasureTier::enqueue_repair_for(ObjectId object) {
     item.index = i;
     item.target = members_[owners.at[i]];
     item.dead_owner = members_[peers.at[i]];
-    item.bytes = chunk;
+    item.bytes = chunk_bytes;
     repair_.enqueue(item);
   }
 }
@@ -408,7 +408,7 @@ void ErasureTier::handle_peer_dead(NodeId peer) {
   // dead-owned index of every held object is (re-)enqueued: a second death
   // that reassigns replacements simply retargets the queued item.
   for (auto slot = directory_.front(); slot != directory_.kNil; slot = directory_.next(slot)) {
-    enqueue_repair_for(directory_[slot].object);
+    enqueue_repair_for(directory_[slot].object, directory_[slot].bytes);
   }
 }
 

@@ -242,10 +242,11 @@ class ErasureTier {
   static constexpr std::uint32_t kNoMember = UINT32_MAX;
 
   /// One object's stripe as positions into members_, chunk-index order.
-  /// Lives on the stack: placement and owner scans never allocate.
+  /// Lives on the stack: placement and owner scans never allocate.  Only
+  /// the first `width` slots hold positions; the rest are left unset.
   struct Stripe {
     int width = 0;  // 0 while the tier is disabled
-    std::array<std::uint32_t, kMaxStripeWidth> at{};
+    std::array<std::uint32_t, kMaxStripeWidth> at;
   };
 
   /// The original placement (top stripe_width() rendezvous scores).
@@ -269,9 +270,10 @@ class ErasureTier {
   bool leads_repair(ObjectId object) const;
 
   /// Enqueues repair work for every dead-owned chunk index of `object`
-  /// when this node is the stripe's repair leader.  Idempotent:
+  /// when this node is the stripe's repair leader.  `chunk_bytes` is the
+  /// held chunk's size (every chunk of a stripe has the same).  Idempotent:
   /// re-enqueueing retargets in place.
-  void enqueue_repair_for(ObjectId object);
+  void enqueue_repair_for(ObjectId object, std::uint64_t chunk_bytes);
 
   NodeId self_;
   std::uint32_t self_pos_ = kNoMember;  // position of self_ in members_

@@ -1,6 +1,6 @@
 // A keyed, doubly linked list of rows in one growable slab.
 //
-// The simulator's LRU and FIFO structures (the ADC single-table, the
+// The simulator's LRU and FIFO structures (the baseline caches, the
 // erasure tier's chunk directory, the re-stripe repair queue, the hashing
 // proxies' in-flight routes) all need the same three things: find the row
 // of key K, keep rows in one recency or arrival order, and move or drop a

@@ -4,9 +4,8 @@
 
 #include <cmath>
 
-#include "cache/ordered_table.h"
-#include "cache/single_table.h"
 #include "cache/table_entry.h"
+#include "table_under_test.h"
 
 namespace adc::cache {
 namespace {

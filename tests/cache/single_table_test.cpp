@@ -1,4 +1,4 @@
-#include "cache/single_table.h"
+#include "table_under_test.h"
 
 #include <gtest/gtest.h>
 

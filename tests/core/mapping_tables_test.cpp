@@ -3,8 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "util/rng.h"
+
+namespace adc::cache {
+
+void PrintTo(const TableEntry& e, std::ostream* os) {
+  *os << "{object " << e.object << " loc " << e.location << " last " << e.last << " avg "
+      << e.average << " hits " << e.hits << " v" << e.version << " claim " << e.claim << "}";
+}
+
+}  // namespace adc::cache
 
 namespace adc::core {
 namespace {
@@ -28,11 +38,11 @@ TEST(UpdateEntry, UnknownObjectEntersSingleTableTop) {
   const UpdateResult result = tables.update_entry(1, kPeer, 10);
   EXPECT_TRUE(result.created);
   EXPECT_EQ(result.placement, TablePlacement::kSingle);
-  ASSERT_NE(tables.single().top(), nullptr);
-  EXPECT_EQ(tables.single().top()->object, 1u);
-  EXPECT_EQ(tables.single().top()->location, kPeer);
-  EXPECT_EQ(tables.single().top()->average, 0);
-  EXPECT_EQ(tables.single().top()->hits, 1u);
+  ASSERT_NE(tables.single().best(), nullptr);
+  EXPECT_EQ(tables.single().best()->object, 1u);
+  EXPECT_EQ(tables.single().best()->location, kPeer);
+  EXPECT_EQ(tables.single().best()->average, 0);
+  EXPECT_EQ(tables.single().best()->hits, 1u);
 }
 
 TEST(UpdateEntry, SingleTableOverflowDropsOldest) {
@@ -74,7 +84,7 @@ TEST(UpdateEntry, SecondHitStaysInSingleWhenMultipleIsBetterEverywhere) {
   EXPECT_EQ(result.placement, TablePlacement::kSingle);
   EXPECT_TRUE(tables.single().contains(20));
   // And it went back on top (LRU bump).
-  EXPECT_EQ(tables.single().top()->object, 20u);
+  EXPECT_EQ(tables.single().best()->object, 20u);
 }
 
 TEST(UpdateEntry, PromotionIntoFullMultipleDemotesWorstToSingleTop) {
@@ -93,7 +103,7 @@ TEST(UpdateEntry, PromotionIntoFullMultipleDemotesWorstToSingleTop) {
   EXPECT_TRUE(tables.multiple().contains(30));
   EXPECT_FALSE(tables.multiple().contains(worst_before));
   EXPECT_TRUE(tables.single().contains(worst_before));
-  EXPECT_EQ(tables.single().top()->object, worst_before);
+  EXPECT_EQ(tables.single().best()->object, worst_before);
 }
 
 // --- Part 2: multiple-table hits ----------------------------------------
@@ -385,6 +395,138 @@ TEST(MappingTablesProperty, HotObjectsEndUpCached) {
   EXPECT_TRUE(tables.is_cached(1));
   EXPECT_TRUE(tables.is_cached(2));
   EXPECT_TRUE(tables.is_cached(3));
+}
+
+// --- Differential: indexed rows against the paper's structures ----------
+//
+// Both stores run the same Update_Entry, so every difference they can show
+// comes from the row structures: heap order and tie-breaks, LRU links,
+// relinking between tables, the index.  Small capacities make promotions,
+// demotions and evictions happen every few steps.
+
+struct TablePair {
+  explicit TablePair(AdcConfig config) : faithful(with(config, cache::TableImpl::kFaithful)),
+                                         indexed(with(config, cache::TableImpl::kIndexed)) {}
+
+  static AdcConfig with(AdcConfig config, cache::TableImpl impl) {
+    config.table_impl = impl;
+    return config;
+  }
+
+  MappingTables faithful;
+  MappingTables indexed;
+};
+
+void expect_same_tables(const TablePair& p, int step) {
+  const auto same = [step](const TableView& a, const TableView& b, const char* name) {
+    ASSERT_EQ(a.size(), b.size()) << name << " after step " << step;
+    ASSERT_EQ(a.snapshot(), b.snapshot()) << name << " after step " << step;
+  };
+  same(p.faithful.single(), p.indexed.single(), "single");
+  same(p.faithful.multiple(), p.indexed.multiple(), "multiple");
+  same(p.faithful.caching(), p.indexed.caching(), "caching");
+}
+
+void expect_same_result(const UpdateResult& a, const UpdateResult& b, int step) {
+  EXPECT_EQ(a.placement, b.placement) << "step " << step;
+  EXPECT_EQ(a.created, b.created) << "step " << step;
+  EXPECT_EQ(a.promoted_to_cache, b.promoted_to_cache) << "step " << step;
+  EXPECT_EQ(a.demoted_from_cache, b.demoted_from_cache) << "step " << step;
+  EXPECT_EQ(a.rejected_stale, b.rejected_stale) << "step " << step;
+  ASSERT_NE(a.entry, nullptr);
+  ASSERT_NE(b.entry, nullptr);
+  EXPECT_EQ(*a.entry, *b.entry) << "step " << step;
+}
+
+/// One random operation on both tables, then the per-request lookups.
+void random_step(TablePair& p, util::Rng& rng, SimTime& now, ObjectId universe, int step) {
+  const ObjectId object = rng.below(universe);
+  const auto location = static_cast<NodeId>(rng.below(5));
+  const std::uint64_t claim = rng.below(4) == 0 ? 0 : rng.below(8);
+  const std::uint64_t roll = rng.below(100);
+  if (roll < 70) {
+    // Time advances by 0-2 ticks, so equal skews (ties) are common.
+    now += static_cast<SimTime>(rng.below(3));
+    const std::optional<std::uint64_t> version =
+        rng.below(2) == 0 ? std::nullopt : std::optional<std::uint64_t>(rng.below(4));
+    const UpdateResult a = p.faithful.update_entry(object, location, now, version, claim);
+    const UpdateResult b = p.indexed.update_entry(object, location, now, version, claim);
+    expect_same_result(a, b, step);
+  } else if (roll < 78) {
+    const std::uint64_t version = rng.below(4);
+    p.faithful.warm_cache(object, location, now, version);
+    p.indexed.warm_cache(object, location, now, version);
+  } else if (roll < 82) {
+    EXPECT_EQ(p.faithful.invalidate_location(location), p.indexed.invalidate_location(location))
+        << "step " << step;
+  } else if (roll < 90) {
+    EXPECT_EQ(p.faithful.repair_location(object, location, claim),
+              p.indexed.repair_location(object, location, claim))
+        << "step " << step;
+  } else if (roll < 99) {
+    p.faithful.stamp_claim(object, claim);
+    p.indexed.stamp_claim(object, claim);
+  } else if (rng.below(4) == 0) {
+    p.faithful.clear();
+    p.indexed.clear();
+  }
+  // The per-request lookups agree on a random object.
+  const ObjectId probe = rng.below(universe);
+  const Located a = p.faithful.locate(probe);
+  const Located b = p.indexed.locate(probe);
+  ASSERT_EQ(a.entry == nullptr, b.entry == nullptr) << "step " << step;
+  if (a.entry != nullptr) {
+    EXPECT_EQ(a.table, b.table) << "step " << step;
+    EXPECT_EQ(*a.entry, *b.entry) << "step " << step;
+  }
+  EXPECT_EQ(p.faithful.forward_location(probe), p.indexed.forward_location(probe));
+  EXPECT_EQ(p.faithful.claim_of(probe), p.indexed.claim_of(probe));
+  EXPECT_EQ(p.faithful.is_cached(probe), p.indexed.is_cached(probe));
+  EXPECT_EQ(p.faithful.total_entries(), p.indexed.total_entries());
+}
+
+TEST(MappingTablesDifferential, IndexedMatchesFaithfulUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    AdcConfig config = small_config(1 + rng.below(8), 1 + rng.below(8), 1 + rng.below(8));
+    config.selective_caching = rng.below(5) != 0;  // every fifth config: ABL-SEL
+    TablePair p(config);
+    const ObjectId universe = 2 * (config.single_table_size + config.multiple_table_size +
+                                   config.caching_table_size);
+    SimTime now = 0;
+    for (int step = 0; step < 3000; ++step) {
+      random_step(p, rng, now, universe, step);
+      expect_same_tables(p, step);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " single " << config.single_table_size << " multiple "
+               << config.multiple_table_size << " caching " << config.caching_table_size
+               << " selective " << config.selective_caching;
+      }
+    }
+  }
+}
+
+void expect_same_worst(const TableView& a, const TableView& b, int step) {
+  ASSERT_EQ(a.worst() == nullptr, b.worst() == nullptr) << "step " << step;
+  if (a.worst() != nullptr) {
+    EXPECT_EQ(*a.worst(), *b.worst()) << "step " << step;
+  }
+}
+
+// Deep heaps with a narrow skew range: ties decide most evictions, and the
+// indexed heaps are several levels deep.
+TEST(MappingTablesDifferential, DeepTablesWithManyTiesMatchFaithful) {
+  TablePair p(small_config(/*single=*/64, /*multiple=*/300, /*caching=*/150));
+  util::Rng rng(99);
+  SimTime now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    random_step(p, rng, now, /*universe=*/700, step);
+    expect_same_worst(p.faithful.multiple(), p.indexed.multiple(), step);
+    expect_same_worst(p.faithful.caching(), p.indexed.caching(), step);
+    if (step % 50 == 0) expect_same_tables(p, step);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "step " << step;
+  }
+  expect_same_tables(p, -1);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace adc::sim {
 namespace {
 
@@ -32,6 +39,29 @@ TEST(MovingAverage, WindowOfOneTracksLast) {
   ma.add(5.0);
   ma.add(9.0);
   EXPECT_DOUBLE_EQ(ma.value(), 9.0);
+}
+
+// The ring must reproduce a deque-based window add for add: the same sum,
+// added then subtracted in the same order, so the series stay bit-identical.
+TEST(MovingAverage, RingMatchesDequeWindowAcrossWraps) {
+  for (const std::size_t window : {1u, 3u, 7u}) {
+    MovingAverage ma(window);
+    std::deque<double> values;
+    double sum = 0.0;
+    util::Rng rng(window);
+    for (int i = 0; i < 60; ++i) {
+      const double v = rng.uniform() * 1000.0 + 0.1;
+      ma.add(v);
+      values.push_back(v);
+      sum += v;
+      if (values.size() > window) {
+        sum -= values.front();
+        values.pop_front();
+      }
+      ASSERT_EQ(ma.count(), values.size()) << window << " " << i;
+      ASSERT_EQ(ma.value(), sum / static_cast<double>(values.size())) << window << " " << i;
+    }
+  }
 }
 
 TEST(Metrics, SummaryAccumulates) {
@@ -238,6 +268,67 @@ TEST(PercentileTracker, DecimationBoundsMemoryAndStaysDeterministic) {
   }
   // The decimated estimate still tracks the true distribution.
   EXPECT_NEAR(a.percentile(0.5), 977 / 2.0, 977 * 0.15);
+}
+
+/// The estimator before selection replaced sorting: sort the whole store
+/// on a query, thin the (possibly sorted) store on decimation.
+class SortingTracker {
+ public:
+  explicit SortingTracker(std::size_t cap) : cap_(cap) {}
+
+  void add(double value) {
+    if (phase_ != 0) {
+      phase_ = (phase_ + 1) % stride_;
+      return;
+    }
+    phase_ = (phase_ + 1) % stride_;
+    if (samples_.size() == cap_) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < samples_.size(); i += 2) samples_[kept++] = samples_[i];
+      samples_.resize(kept);
+      stride_ *= 2;
+      phase_ = 1 % stride_;
+    }
+    samples_.push_back(value);
+  }
+
+  double percentile(double q) {
+    if (samples_.empty()) return 0.0;
+    std::sort(samples_.begin(), samples_.end());
+    auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples_.size())));
+    if (rank == 0) rank = 1;
+    if (rank > samples_.size()) rank = samples_.size();
+    return samples_[rank - 1];
+  }
+
+ private:
+  std::size_t cap_;
+  std::size_t stride_ = 1;
+  std::size_t phase_ = 0;
+  std::vector<double> samples_;
+};
+
+// Selection must answer exactly what a sort answers, for repeated queries,
+// and queries between decimations must not change what decimation keeps.
+TEST(PercentileTracker, SelectionMatchesSortedReference) {
+  for (const std::size_t cap : {std::size_t{64}, std::size_t{1} << 20}) {
+    PercentileTracker tracker(cap);
+    SortingTracker reference(cap);
+    util::Rng rng(cap);
+    for (int i = 1; i <= 5000; ++i) {
+      // Integral latencies with many ties, as the simulator records them.
+      const auto v = static_cast<double>(rng.below(300));
+      tracker.add(v);
+      reference.add(v);
+      if (i % 97 != 0) continue;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        for (const double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+          ASSERT_EQ(tracker.percentile(q), reference.percentile(q))
+              << "cap " << cap << " sample " << i << " q " << q;
+        }
+      }
+    }
+  }
 }
 
 TEST(PercentileTracker, ClearResetsEverything) {

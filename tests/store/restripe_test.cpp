@@ -196,6 +196,63 @@ TEST(RestripeTier, EffectiveOwnersAreDeterministicAliveAndDisjoint) {
   }
 }
 
+// Repair offers carry the bytes of the leader's directory entry, so every
+// directory in a cluster must hold exactly chunk_size(object) per chunk:
+// after striping, and after a death's repair rounds have re-homed chunks.
+TEST(RestripeTier, DirectoryBytesEqualChunkSizeThroughRepair) {
+  const PayloadStorePtr store = make_repair_store();
+  std::vector<std::unique_ptr<ErasureTier>> tiers;
+  for (const NodeId member : kMembers) {
+    tiers.push_back(std::make_unique<ErasureTier>(member, store, kMembers));
+  }
+  constexpr NodeId kDead = 5;
+  RecordingTransport net;
+  const auto deliver = [&]() {
+    while (!net.sent.empty()) {
+      const std::vector<Message> batch = std::move(net.sent);
+      net.sent.clear();
+      for (const Message& msg : batch) {
+        if (msg.target == kDead) continue;
+        ErasureTier& to = *tiers[static_cast<std::size_t>(msg.target)];
+        if (msg.kind == MessageKind::kStripeStore) to.on_stripe_store(msg);
+        if (msg.kind == MessageKind::kRestripeOffer) to.on_restripe_offer(net, msg);
+        if (msg.kind == MessageKind::kRestripeAck) to.on_restripe_ack(msg);
+      }
+    }
+  };
+  const auto expect_chunk_sizes = [&](const char* phase) {
+    std::size_t chunks = 0;
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      if (kMembers[i] == kDead) continue;
+      tiers[i]->for_each_chunk([&](ObjectId object, int, std::uint64_t bytes) {
+        EXPECT_EQ(bytes, store->chunk_size(object)) << phase << " object " << object;
+        ++chunks;
+      });
+    }
+    EXPECT_GT(chunks, 0u) << phase;
+  };
+
+  for (ObjectId object = 1; object <= 300; ++object) {
+    tiers[object % kMembers.size()]->stripe_object(net, object);
+  }
+  deliver();
+  expect_chunk_sizes("striped");
+
+  std::uint64_t adopted = 0;
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    if (kMembers[i] != kDead) tiers[i]->handle_peer_dead(kDead);
+  }
+  for (int round = 0; round < 8; ++round) {
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      if (kMembers[i] != kDead) tiers[i]->restripe_round(net);
+    }
+    deliver();
+  }
+  for (const auto& tier : tiers) adopted += tier->stats().restripe_adopted;
+  EXPECT_GT(adopted, 0u);
+  expect_chunk_sizes("repaired");
+}
+
 TEST(RestripeTier, TwoDeathsElectDistinctReplacements) {
   ErasureTier tier(0, make_repair_store(), kMembers);
   const ObjectId object = object_led_by(tier, 0);

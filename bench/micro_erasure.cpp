@@ -5,6 +5,12 @@
 //    election once one stripe peer is believed dead;
 //  * BM_DirectoryRecordEvict — one kStripeStore into a byte-budgeted chunk
 //    directory that is full, so every record evicts the LRU tail;
+//  * BM_DirectoryFill — 85k kStripeStores of new objects into an empty,
+//    unbudgeted directory (one node's share under sim-carp-erasure-crash):
+//    record_chunk's cold-miss path, where the refresh probe misses and a
+//    row and an index key are added.  `bytes_per_chunk` is the heap the
+//    filled directory holds per entry (glibc's mallinfo2; a sanitizer's
+//    allocator bypasses it, so sanitizer builds read about 0);
 //  * BM_PeerDeadScan — the repair leader's scan of a 100k-entry directory
 //    when a peer dies (every held object re-placed, dead-owned chunks
 //    queued for repair); the matching rejoin that cancels the queue runs
@@ -12,6 +18,7 @@
 //
 // Items are objects placed, chunks recorded and directory entries scanned.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <memory>
@@ -84,6 +91,30 @@ void BM_DirectoryRecordEvict(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(tier.directory_entries());
 }
 
+/// Heap bytes the allocator has handed out and not yet taken back.
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+void BM_DirectoryFill(benchmark::State& state) {
+  const auto entries = static_cast<ObjectId>(state.range(0));
+  const auto store = make_store(0, false);
+  std::size_t held = 0;
+  for (auto _ : state) {
+    const std::size_t before = heap_in_use();
+    store::ErasureTier tier(0, store, members(8));
+    for (ObjectId object = 0; object < entries; ++object) {
+      tier.on_stripe_store(stripe_store(object, 0, 4096));
+    }
+    const std::size_t after = heap_in_use();
+    held = after > before ? after - before : 0;
+    benchmark::DoNotOptimize(tier.directory_entries());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(entries));
+  state.counters["bytes_per_chunk"] = static_cast<double>(held) / static_cast<double>(entries);
+}
+
 void BM_PeerDeadScan(benchmark::State& state) {
   const auto entries = static_cast<ObjectId>(state.range(0));
   const auto store = make_store(0, true);
@@ -116,6 +147,7 @@ void BM_PeerDeadScan(benchmark::State& state) {
 BENCHMARK(BM_StripePeers)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_EffectiveOwners)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_DirectoryRecordEvict)->Arg(1000)->Arg(100000)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_DirectoryFill)->Arg(85000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PeerDeadScan)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

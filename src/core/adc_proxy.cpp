@@ -223,10 +223,10 @@ void AdcProxy::receive_request(Transport& net, const Message& msg) {
     return;
   }
 
-  // Loop detection must precede storing the new backwarding record: a
-  // request id already pending here means the random walk revisited us.
-  const bool loop = pending_.contains(msg.request_id);
-  pending_.push(msg.request_id, msg.sender);
+  // Loop detection: a request id already pending here means the random
+  // walk revisited us.  push() reports that from before it stores the new
+  // backwarding record.
+  const bool loop = pending_.push(msg.request_id, msg.sender);
 
   Message forward = msg;
   forward.sender = id();

@@ -13,6 +13,7 @@
 #include "proxy/coordinator.h"
 #include "proxy/origin_server.h"
 #include "sim/simulator.h"
+#include "store/restripe.h"
 #include "util/flat_index.h"
 #include "util/logging.h"
 
@@ -103,6 +104,11 @@ std::string ExperimentConfig::validate() const {
     if (window.flush_state && (window.node < 0 || window.node >= proxies)) {
       return "flush_state crash window on node " + std::to_string(window.node) + range;
     }
+  }
+  const int attempts = payload.erasure.repair_max_attempts;
+  if (attempts < 1 || attempts > store::kMaxRepairAttempts) {
+    return "payload.erasure.repair_max_attempts must be in [1, " +
+           std::to_string(store::kMaxRepairAttempts) + "], got " + std::to_string(attempts);
   }
   return {};
 }

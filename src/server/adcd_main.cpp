@@ -20,6 +20,7 @@
 #include <string>
 
 #include "server/daemon.h"
+#include "store/restripe.h"
 #include "util/cli.h"
 
 namespace {
@@ -88,7 +89,8 @@ int main(int argc, char** argv) {
       .bind("repair-budget-bytes", &config.payload.erasure.repair_bytes_per_round,
             "chunk bytes a repair leader may offer per anti-entropy round (0 = unlimited)")
       .bind("repair-max-attempts", &config.payload.erasure.repair_max_attempts,
-            "offers per repair item before it is abandoned")
+            "offers per repair item before it is abandoned",
+            {1, store::kMaxRepairAttempts})
       .bind("egress-bytes-per-sec", &config.egress_bytes_per_sec,
             "token-bucket egress cap in accounted bytes/sec (0 = unpaced)")
       .bind("egress-burst-bytes", &config.egress_burst_bytes,

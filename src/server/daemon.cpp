@@ -63,6 +63,10 @@ std::string DaemonConfig::validate() const {
            std::to_string(store::RdpCode::kMaxDataChunks) + "], got " +
            std::to_string(erasure.data_chunks);
   }
+  if (erasure.repair_max_attempts < 1 || erasure.repair_max_attempts > store::kMaxRepairAttempts) {
+    return "--repair-max-attempts must be in [1, " + std::to_string(store::kMaxRepairAttempts) +
+           "], got " + std::to_string(erasure.repair_max_attempts);
+  }
   if (erasure.restripe && !erasure.enabled) return "--restripe 1 needs --erasure 1";
   if (erasure.restripe && !membership.swim.enabled) {
     return "--restripe 1 needs --membership 1 (deaths come from SWIM)";

@@ -55,6 +55,7 @@ void PercentileTracker::add(double value) {
     return;
   }
   phase_ = (phase_ + 1) % stride_;
+  pivot_ = kNoPivot;
   if (samples_.size() == cap_) {
     // Keep every other stored sample and halve the future sampling rate:
     // deterministic, no RNG, bounded memory.  (Samples a percentile() call
@@ -80,9 +81,24 @@ double PercentileTracker::percentile(double q) const {
   auto rank = static_cast<std::size_t>(std::ceil(q * n));
   if (rank == 0) rank = 1;  // q == 0 means "the minimum value"
   if (rank > samples_.size()) rank = samples_.size();
-  const auto kth = samples_.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(samples_.begin(), kth, samples_.end());
+  // After a selection every sample before the pivot is <= it and every
+  // one after is >= it, so a later rank lies in [pivot, end) and an
+  // earlier one in [begin, pivot): select within that side alone.
+  const std::size_t index = rank - 1;
+  auto first = samples_.begin();
+  auto last = samples_.end();
+  if (pivot_ != kNoPivot) {
+    if (index == pivot_) return samples_[index];
+    if (index > pivot_) {
+      first += static_cast<std::ptrdiff_t>(pivot_);
+    } else {
+      last = first + static_cast<std::ptrdiff_t>(pivot_);
+    }
+  }
+  const auto kth = samples_.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(first, kth, last);
   selected_ = samples_.size();
+  pivot_ = index;
   return *kth;
 }
 
@@ -92,6 +108,7 @@ void PercentileTracker::clear() {
   phase_ = 0;
   added_ = 0;
   selected_ = 0;
+  pivot_ = kNoPivot;
 }
 
 void IntHistogram::add(int value) noexcept {

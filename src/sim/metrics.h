@@ -105,6 +105,11 @@ class PercentileTracker {
   /// decimation.  Decimation sorts them first, so it thins the sorted order
   /// of every sample a query has seen, whatever the selection left behind.
   mutable std::size_t selected_ = 0;
+  /// Index of the last selected order statistic, or kNoPivot.  While no
+  /// sample was added since, samples_ is partitioned around it, so the
+  /// next query selects only within the side its rank falls in.
+  static constexpr std::size_t kNoPivot = SIZE_MAX;
+  mutable std::size_t pivot_ = kNoPivot;
 };
 
 /// Fixed-window moving average over doubles, kept in a ring of `window`

@@ -26,7 +26,10 @@ class PendingRecords {
   bool contains(RequestId request) const noexcept { return top_.contains(request); }
 
   /// Records that the reply to `request` must go back to `previous_hop`.
-  void push(RequestId request, NodeId previous_hop) {
+  /// Returns whether `request` already had a record — a request that
+  /// revisits this node — so a caller's loop check costs no extra probe.
+  bool push(RequestId request, NodeId previous_hop) {
+    const std::uint32_t below = top_.find(request);
     std::uint32_t link = 0;
     if (free_ != kNil) {
       link = free_;
@@ -35,8 +38,9 @@ class PendingRecords {
       link = static_cast<std::uint32_t>(links_.size());
       links_.emplace_back();
     }
-    links_[link] = Link{previous_hop, top_.find(request)};
+    links_[link] = Link{previous_hop, below};
     top_.assign(request, link);
+    return below != kNil;
   }
 
   /// Pops and returns the most recent record of `request`; requires

@@ -146,6 +146,10 @@ void ErasureTier::stripe_object(sim::Transport& net, ObjectId object) {
 }
 
 bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) {
+  if (bytes > kMaxChunkBytes) {
+    ++stats_.chunks_refused_oversized;
+    return false;
+  }
   // Re-registration (e.g. a new owner re-striped after churn): refresh.
   drop_chunk(object);
   const std::uint64_t budget = store_->config().erasure.directory_budget;
@@ -156,7 +160,7 @@ bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) 
     }
     if (directory_bytes_ + bytes > budget) return false;  // bigger than the budget
   }
-  directory_.push_front(DirEntry{object, bytes, index});
+  directory_.push_front(DirEntry{object, static_cast<std::uint32_t>(bytes), index});
   directory_bytes_ += bytes;
   ++stats_.chunks_stored;
   return true;
@@ -326,7 +330,7 @@ bool ErasureTier::leads_repair(ObjectId object) const {
   return true;
 }
 
-void ErasureTier::enqueue_repair_for(ObjectId object, std::uint64_t chunk_bytes) {
+void ErasureTier::enqueue_repair_for(ObjectId object, std::uint32_t chunk_bytes) {
   // The repair leader is the first *alive* member of the original stripe
   // in chunk-index order — every survivor computes the same leader from
   // its own believed dead set, so exactly one node drives each stripe's
@@ -341,7 +345,7 @@ void ErasureTier::enqueue_repair_for(ObjectId object, std::uint64_t chunk_bytes)
     if (owners.at[i] == kNoMember) continue;    // no eligible replacement
     RepairItem item;
     item.object = object;
-    item.index = i;
+    item.index = static_cast<std::int16_t>(i);
     item.target = members_[owners.at[i]];
     item.dead_owner = members_[peers.at[i]];
     item.bytes = chunk_bytes;
@@ -433,7 +437,7 @@ void ErasureTier::handle_peer_joined(NodeId peer) {
     if (peers.at[entry.index] != pos) continue;
     RepairItem item;
     item.object = entry.object;
-    item.index = entry.index;
+    item.index = static_cast<std::int16_t>(entry.index);
     item.target = peer;
     item.bytes = entry.bytes;
     item.hand_back = true;

@@ -49,6 +49,11 @@ namespace adc::store {
 /// Widest stripe any tier places: k + 2 chunks with k at RdpCode's cap.
 inline constexpr int kMaxStripeWidth = RdpCode::kMaxDataChunks + 2;
 
+/// Largest chunk a directory records: its byte count is 32 bits wide.  The
+/// payload store's chunks are at most ceil(max_bytes / k), 86 KiB by
+/// default; a wider count can only come off the wire, and is refused.
+inline constexpr std::uint64_t kMaxChunkBytes = UINT32_MAX;
+
 /// Stripe placement's selection step: keeps the `width` highest-scoring
 /// candidates in a fixed array, highest first.  Candidates must be offered
 /// in ascending position order; equal scores keep offer order, so the
@@ -95,6 +100,8 @@ struct ErasureStats {
   std::uint64_t recovered_bytes = 0;   // full object bytes answered degraded
   std::uint64_t chunk_requests_skipped = 0;  // survivors not asked because the
                                              // load probe preferred lighter peers
+  std::uint64_t chunks_refused_oversized = 0;  // stores and offers of a chunk
+                                               // above kMaxChunkBytes
 
   // --- Proactive re-stripe repair (leaders and replacements) ------------
   std::uint64_t stripes_healed = 0;      // repair offers acked (leader side)
@@ -153,7 +160,8 @@ class ErasureTier {
   /// effective replacements instead, so new stripes are born full-width.
   void stripe_object(sim::Transport& net, ObjectId object);
 
-  /// Handles kStripeStore / kChunkRequest addressed to this node.
+  /// Handles kStripeStore / kChunkRequest addressed to this node.  A
+  /// store of a chunk above kMaxChunkBytes is refused and counted.
   void on_stripe_store(const sim::Message& msg);
   void on_chunk_request(sim::Transport& net, const sim::Message& msg);
 
@@ -205,7 +213,9 @@ class ErasureTier {
   /// work item.  Called from the membership layer's anti-entropy cadence.
   void restripe_round(sim::Transport& net);
 
-  /// Handles kRestripeOffer / kRestripeAck addressed to this node.
+  /// Handles kRestripeOffer / kRestripeAck addressed to this node.  An
+  /// offer of a chunk above kMaxChunkBytes is refused and counted (and
+  /// still acked, like one the directory budget refuses).
   void on_restripe_offer(sim::Transport& net, const sim::Message& msg);
   void on_restripe_ack(const sim::Message& msg);
 
@@ -231,12 +241,17 @@ class ErasureTier {
     std::uint64_t key() const noexcept { return request.request_id; }
   };
 
+  /// One held chunk.  16 bytes, so a directory row (entry plus two list
+  /// links) is 24: the directory is the tier's largest structure (~85k
+  /// rows per node under sim-carp-erasure-crash).  `bytes` is 32 bits
+  /// because record_chunk refuses a chunk above kMaxChunkBytes.
   struct DirEntry {
     ObjectId object;
-    std::uint64_t bytes;
+    std::uint32_t bytes;
     int index;
     std::uint64_t key() const noexcept { return object; }
   };
+  static_assert(sizeof(util::KeyedList<DirEntry>::Row) == 24, "a directory row is 24 bytes");
 
   /// Marks "no member": an index with no eligible replacement owner.
   static constexpr std::uint32_t kNoMember = UINT32_MAX;
@@ -260,6 +275,9 @@ class ErasureTier {
   /// Position of `node` in members_, or kNoMember.
   std::uint32_t position_of(NodeId node) const noexcept;
 
+  /// Records (or refreshes) a held chunk, evicting LRU entries past the
+  /// directory budget.  False for a chunk above kMaxChunkBytes (counted,
+  /// directory untouched) or above the whole budget (recorded nowhere).
   bool record_chunk(ObjectId object, int index, std::uint64_t bytes);
   void drop_chunk(ObjectId object);
 
@@ -273,7 +291,7 @@ class ErasureTier {
   /// when this node is the stripe's repair leader.  `chunk_bytes` is the
   /// held chunk's size (every chunk of a stripe has the same).  Idempotent:
   /// re-enqueueing retargets in place.
-  void enqueue_repair_for(ObjectId object, std::uint64_t chunk_bytes);
+  void enqueue_repair_for(ObjectId object, std::uint32_t chunk_bytes);
 
   NodeId self_;
   std::uint32_t self_pos_ = kNoMember;  // position of self_ in members_

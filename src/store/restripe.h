@@ -25,6 +25,7 @@
 // acks, so a heal-then-rejoin ends with exactly one holder per chunk.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -44,18 +45,27 @@ struct RestripeStats {
   std::uint64_t round_bytes_max = 0;  // largest single round (budget audit)
 };
 
+/// Most offers a repair item may make (RepairItem::attempts is 8 bits);
+/// configs enforce repair_max_attempts in [1, kMaxRepairAttempts].
+inline constexpr int kMaxRepairAttempts = UINT8_MAX;
+
 /// One pending re-home: chunk `index` of `object` (sized `bytes`) should
 /// live at `target`.  `dead_owner` is the peer whose death created the
 /// item (kInvalidNode for rejoin hand-backs); `hand_back` items drop the
 /// local foster copy when acked instead of counting a healed stripe.
+///
+/// 24 bytes, so a queue row is 32: every field is as wide as its range.
+/// `bytes` is a directory chunk's (32 bits, see ErasureTier), `index` is
+/// below the stripe width (at most 64) and `attempts` at most
+/// kMaxRepairAttempts.
 struct RepairItem {
   ObjectId object = 0;
-  int index = 0;
+  std::uint32_t bytes = 0;
   NodeId target = kInvalidNode;
   NodeId dead_owner = kInvalidNode;
-  std::uint64_t bytes = 0;
+  std::int16_t index = 0;
   bool hand_back = false;
-  int attempts = 0;
+  std::uint8_t attempts = 0;
 
   /// Queue key: one item per (object, chunk index).
   static std::uint64_t key_of(ObjectId object, int index) noexcept {
@@ -63,14 +73,17 @@ struct RepairItem {
   }
   std::uint64_t key() const noexcept { return key_of(object, index); }
 };
+static_assert(sizeof(util::KeyedList<RepairItem>::Row) == 32, "a repair-queue row is 32 bytes");
 
 /// FIFO repair queue with byte-budgeted rounds and bounded retry.  Items
 /// are keyed by (object, index): re-enqueueing refreshes the target (a
 /// later death may reassign the replacement) without duplicating work.
 class RestripePlanner {
  public:
+  /// `max_attempts` is clamped to [1, kMaxRepairAttempts].
   RestripePlanner(std::uint64_t bytes_per_round, int max_attempts)
-      : bytes_per_round_(bytes_per_round), max_attempts_(max_attempts < 1 ? 1 : max_attempts) {}
+      : bytes_per_round_(bytes_per_round),
+        max_attempts_(std::clamp(max_attempts, 1, kMaxRepairAttempts)) {}
 
   /// Queues (or retargets) a work item.  Acked or unknown keys enqueue
   /// fresh; an item already queued for the same chunk is updated in place.

@@ -16,12 +16,12 @@ void FlatIndex::assign(std::uint64_t key, std::uint32_t slot) {
   for (std::size_t i = home(key);; i = (i + 1) & mask_) {
     Bucket& b = buckets_[i];
     if (b.slot == kNone) {
-      b.key = key;
+      b.set_key(key);
       b.slot = slot;
       ++size_;
       return;
     }
-    if (b.key == key) {
+    if (b.key() == key) {
       b.slot = slot;
       return;
     }
@@ -33,13 +33,13 @@ bool FlatIndex::erase(std::uint64_t key) noexcept {
   for (;; hole = (hole + 1) & mask_) {
     const Bucket& b = buckets_[hole];
     if (b.slot == kNone) return false;
-    if (b.key == key) break;
+    if (b.key() == key) break;
   }
   // Backward-shift deletion: pull every later member of the probe run whose
   // home lies at or before the hole into it, so no lookup ever stops early.
   for (std::size_t next = (hole + 1) & mask_; buckets_[next].slot != kNone;
        next = (next + 1) & mask_) {
-    const std::size_t displacement = (next - home(buckets_[next].key)) & mask_;
+    const std::size_t displacement = (next - home(buckets_[next].key())) & mask_;
     if (displacement >= ((next - hole) & mask_)) {
       buckets_[hole] = buckets_[next];
       hole = next;
@@ -63,7 +63,7 @@ void FlatIndex::rehash(std::size_t buckets) {
   for (std::size_t n = buckets; n > 1; n /= 2) --shift_;
   size_ = 0;
   for (const Bucket& b : old) {
-    if (b.slot != kNone) assign(b.key, b.slot);
+    if (b.slot != kNone) assign(b.key(), b.slot);
   }
 }
 

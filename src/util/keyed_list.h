@@ -33,6 +33,14 @@ class KeyedList {
   /// Marks "no row": the end of the list, or find() on an absent key.
   static constexpr Slot kNil = FlatIndex::kNone;
 
+  /// A slab row: the value plus its two links.  Public so an owner can pin
+  /// its size next to T's definition.
+  struct Row {
+    T value;
+    Slot prev = kNil;  // toward the front
+    Slot next = kNil;  // toward the back (or the next free row)
+  };
+
   /// Reserves room for `expected` rows without growing.
   explicit KeyedList(std::size_t expected = 0) : index_(expected) { rows_.reserve(expected); }
 
@@ -108,12 +116,6 @@ class KeyedList {
   }
 
  private:
-  struct Row {
-    T value;
-    Slot prev = kNil;  // toward the front
-    Slot next = kNil;  // toward the back (or the next free row)
-  };
-
   Slot acquire(const T& value) {
     assert(!index_.contains(value.key()));
     Slot slot = free_;

@@ -306,6 +306,21 @@ TEST(ExperimentValidate, RejectsFlushingCrashWindowOnANonProxy) {
   }
 }
 
+// A repair item counts its offers in 8 bits, so the limit must fit them.
+TEST(ExperimentValidate, RejectsRepairMaxAttemptsOutsideItsRange) {
+  ExperimentConfig config = small_config(Scheme::kCarp);
+  for (const int attempts : {1, 255}) {
+    config.payload.erasure.repair_max_attempts = attempts;
+    EXPECT_EQ(config.validate(), "");
+  }
+  for (const int attempts : {0, 256}) {
+    config.payload.erasure.repair_max_attempts = attempts;
+    EXPECT_EQ(config.validate(), "payload.erasure.repair_max_attempts must be in [1, 255], got " +
+                                     std::to_string(attempts));
+    EXPECT_THROW(run_experiment(config, small_trace()), std::invalid_argument);
+  }
+}
+
 TEST(ExperimentValidate, RejectsEmptyDeploymentAndShortLoadFactors) {
   ExperimentConfig empty = small_config(Scheme::kAdc);
   empty.proxies = 0;

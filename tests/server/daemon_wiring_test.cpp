@@ -109,6 +109,16 @@ TEST(DaemonConfigValidate, DataChunksOutsideRdpRange) {
   EXPECT_EQ(config.validate(), "");
 }
 
+TEST(DaemonConfigValidate, RepairMaxAttemptsOutsideItsRange) {
+  DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
+  config.payload.erasure.repair_max_attempts = 0;
+  EXPECT_EQ(config.validate(), "--repair-max-attempts must be in [1, 255], got 0");
+  config.payload.erasure.repair_max_attempts = 256;
+  EXPECT_EQ(config.validate(), "--repair-max-attempts must be in [1, 255], got 256");
+  config.payload.erasure.repair_max_attempts = 255;
+  EXPECT_EQ(config.validate(), "");
+}
+
 TEST(DaemonConfigValidate, RestripeNeedsErasure) {
   DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
   config.payload.enabled = true;

@@ -310,22 +310,34 @@ class SortingTracker {
 
 // Selection must answer exactly what a sort answers, for repeated queries,
 // and queries between decimations must not change what decimation keeps.
+// Each query selects only within the side of the previous one its rank
+// falls in, so the sequences walk ranks upward, downward and in place.
 TEST(PercentileTracker, SelectionMatchesSortedReference) {
+  const std::vector<std::vector<double>> sequences = {
+      {0.0, 0.5, 0.95, 0.99, 0.999, 1.0},
+      {1.0, 0.999, 0.99, 0.95, 0.5, 0.0},
+      {0.99, 0.99, 0.5, 0.5, 0.999, 0.0, 0.0, 0.95, 1.0, 1.0},
+  };
   for (const std::size_t cap : {std::size_t{64}, std::size_t{1} << 20}) {
-    PercentileTracker tracker(cap);
-    SortingTracker reference(cap);
-    util::Rng rng(cap);
-    for (int i = 1; i <= 5000; ++i) {
-      // Integral latencies with many ties, as the simulator records them.
-      const auto v = static_cast<double>(rng.below(300));
-      tracker.add(v);
-      reference.add(v);
-      if (i % 97 != 0) continue;
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        for (const double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
-          ASSERT_EQ(tracker.percentile(q), reference.percentile(q))
-              << "cap " << cap << " sample " << i << " q " << q;
+    for (std::size_t s = 0; s < sequences.size(); ++s) {
+      PercentileTracker tracker(cap);
+      SortingTracker reference(cap);
+      util::Rng rng(cap + s);
+      for (int i = 1; i <= 5000; ++i) {
+        // Integral latencies with many ties, as the simulator records them.
+        const auto v = static_cast<double>(rng.below(300));
+        tracker.add(v);
+        reference.add(v);
+        if (i % 97 != 0) continue;
+        for (int repeat = 0; repeat < 2; ++repeat) {
+          for (const double q : sequences[s]) {
+            ASSERT_EQ(tracker.percentile(q), reference.percentile(q))
+                << "cap " << cap << " sequence " << s << " sample " << i << " q " << q;
+          }
         }
+      }
+      if (cap == 64) {
+        EXPECT_GT(tracker.stride(), 1u) << "the small cap must decimate";
       }
     }
   }

@@ -26,6 +26,20 @@ TEST(PendingRecords, PopsInReverseOrderPerRequest) {
   EXPECT_EQ(pending.size(), 0u);
 }
 
+// push() reports a record already present, which is how a proxy detects
+// that a request looped back to it without probing twice.
+TEST(PendingRecords, PushReportsAnExistingRecord) {
+  PendingRecords pending;
+  EXPECT_FALSE(pending.push(1, 10));
+  EXPECT_FALSE(pending.push(2, 20));
+  EXPECT_TRUE(pending.push(1, 11));
+  EXPECT_EQ(pending.pop(1), 11);
+  EXPECT_TRUE(pending.push(1, 12));  // one record of request 1 is still held
+  EXPECT_EQ(pending.pop(1), 12);
+  EXPECT_EQ(pending.pop(1), 10);
+  EXPECT_FALSE(pending.push(1, 13));  // every record of request 1 was popped
+}
+
 TEST(PendingRecords, MatchesStacksOfVectorsUnderChurn) {
   PendingRecords pending;
   std::map<RequestId, std::vector<NodeId>> model;
@@ -34,7 +48,7 @@ TEST(PendingRecords, MatchesStacksOfVectorsUnderChurn) {
     const RequestId request = make_request_id(7, rng.below(32));
     if (rng.below(2) == 0 || model.count(request) == 0) {
       const auto hop = static_cast<NodeId>(rng.below(5));
-      pending.push(request, hop);
+      ASSERT_EQ(pending.push(request, hop), model.count(request) == 1) << "step " << step;
       model[request].push_back(hop);
     } else {
       auto& stack = model[request];

@@ -151,6 +151,35 @@ TEST(ErasureTier, DirectoryBudgetEvictsOldestChunks) {
   EXPECT_EQ(tier2.directory_bytes(), 200u);
 }
 
+// A chunk's byte count arrives as 64 bits (off the wire, in adcd) but a
+// directory entry keeps 32: a store wider than that is refused and
+// counted, and leaves the directory exactly as it was.
+TEST(ErasureTier, OversizedStripeStoreIsRefusedAndCounted) {
+  ErasureTier tier(0, make_store(), kMembers);
+  Message store_msg;
+  store_msg.kind = MessageKind::kStripeStore;
+  store_msg.object = 1;
+  store_msg.resolver = 0;
+  store_msg.payload_bytes = 100;
+  tier.on_stripe_store(store_msg);
+  store_msg.payload_bytes = kMaxChunkBytes + 1;
+  tier.on_stripe_store(store_msg);  // the same object: no refresh either
+  store_msg.object = 2;
+  tier.on_stripe_store(store_msg);
+  EXPECT_EQ(tier.stats().chunks_refused_oversized, 2u);
+  EXPECT_EQ(tier.stats().chunks_stored, 1u);
+  EXPECT_TRUE(tier.holds_chunk(1));
+  EXPECT_FALSE(tier.holds_chunk(2));
+  EXPECT_EQ(tier.directory_entries(), 1u);
+  EXPECT_EQ(tier.directory_bytes(), 100u);
+
+  store_msg.payload_bytes = kMaxChunkBytes;  // the widest count that fits
+  tier.on_stripe_store(store_msg);
+  EXPECT_TRUE(tier.holds_chunk(2));
+  EXPECT_EQ(tier.directory_bytes(), 100u + kMaxChunkBytes);
+  EXPECT_EQ(tier.stats().chunks_refused_oversized, 2u);
+}
+
 TEST(ErasureTier, ChunkRequestServesHeldAndFlagsMissing) {
   auto store = make_store();
   ErasureTier tier(1, store, kMembers);

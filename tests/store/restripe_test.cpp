@@ -97,6 +97,20 @@ TEST(RestripePlanner, UnackedItemsRetryThenAbandon) {
   EXPECT_EQ(planner.stats().items_abandoned, 1u);
 }
 
+// RepairItem counts its offers in 8 bits; a larger limit is clamped, so
+// an item that is never acked is still abandoned instead of wrapping.
+TEST(RestripePlanner, MaxAttemptsClampToTheCounterWidth) {
+  RestripePlanner planner(/*bytes_per_round=*/0, /*max_attempts=*/1000);
+  planner.enqueue(item_for(1, 0, 5, 100));
+  int offers = 0;
+  for (int round = 0; round < 300; ++round) {
+    planner.next_round([&](const RepairItem&) { ++offers; });
+  }
+  EXPECT_EQ(offers, kMaxRepairAttempts);
+  EXPECT_FALSE(planner.pending());
+  EXPECT_EQ(planner.stats().items_abandoned, 1u);
+}
+
 TEST(RestripePlanner, AckRetiresExactlyOneItem) {
   RestripePlanner planner(/*bytes_per_round=*/0, /*max_attempts=*/5);
   planner.enqueue(item_for(7, 1, 4, 50));
@@ -334,6 +348,44 @@ TEST(RestripeTier, OfferAdoptAckHealsTheStripe) {
   leader.on_restripe_ack(acks[0]);
   EXPECT_EQ(leader.stats().stripes_healed, 1u);
   EXPECT_FALSE(leader.restripe_pending());
+}
+
+// An offer wider than a directory entry's 32-bit byte count is refused
+// and counted, the directory keeps what it held, and the offer is still
+// acked: re-offering the same chunk every round would not help.
+TEST(RestripeTier, OversizedOfferIsRefusedCountedAndAcked) {
+  ErasureTier replacement(5, make_repair_store(), kMembers);
+  Message held;
+  held.kind = MessageKind::kStripeStore;
+  held.object = 42;
+  held.resolver = 1;
+  held.payload_bytes = 300;
+  replacement.on_stripe_store(held);
+
+  Message offer;
+  offer.kind = MessageKind::kRestripeOffer;
+  offer.object = 42;
+  offer.sender = 0;
+  offer.target = 5;
+  offer.resolver = 3;
+  offer.payload_bytes = kMaxChunkBytes + 1;
+  RecordingTransport net;
+  replacement.on_restripe_offer(net, offer);
+  offer.object = 43;
+  replacement.on_restripe_offer(net, offer);
+
+  EXPECT_EQ(replacement.stats().chunks_refused_oversized, 2u);
+  EXPECT_EQ(replacement.stats().restripe_adopted, 0u);
+  EXPECT_FALSE(replacement.holds_chunk(43));
+  EXPECT_EQ(replacement.directory_entries(), 1u);
+  EXPECT_EQ(replacement.directory_bytes(), 300u);
+  int index = -1;
+  replacement.for_each_chunk([&](ObjectId, int i, std::uint64_t) { index = i; });
+  EXPECT_EQ(index, 1);  // still the stored chunk, not the offered one
+  const auto acks = net.of_kind(MessageKind::kRestripeAck);
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(acks[0].target, 0);
+  EXPECT_EQ(acks[0].resolver, 3);
 }
 
 TEST(RestripeTier, ChunkRequestsRequireTheMatchingIndex) {

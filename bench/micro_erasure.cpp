@@ -8,9 +8,12 @@
 //  * BM_DirectoryFill — 85k kStripeStores of new objects into an empty,
 //    unbudgeted directory (one node's share under sim-carp-erasure-crash):
 //    record_chunk's cold-miss path, where the refresh probe misses and a
-//    row and an index key are added.  `bytes_per_chunk` is the heap the
-//    filled directory holds per entry (glibc's mallinfo2; a sanitizer's
-//    allocator bypasses it, so sanitizer builds read about 0);
+//    row and an index key are added.  `shuffled:0` stores ids in order, as
+//    a run introduces them; `shuffled:1` stores the same ids in a random
+//    order, which no block-local index layout can keep in cache.
+//    `bytes_per_chunk` is the heap the filled directory holds per entry
+//    (glibc's mallinfo2; a sanitizer's allocator bypasses it, so sanitizer
+//    builds read about 0);
 //  * BM_PeerDeadScan — the repair leader's scan of a 100k-entry directory
 //    when a peer dies (every held object re-placed, dead-owned chunks
 //    queued for repair); the matching rejoin that cancels the queue runs
@@ -22,10 +25,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "sim/message.h"
 #include "store/erasure_tier.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -99,14 +104,18 @@ std::size_t heap_in_use() {
 
 void BM_DirectoryFill(benchmark::State& state) {
   const auto entries = static_cast<ObjectId>(state.range(0));
+  std::vector<ObjectId> objects(entries);
+  std::iota(objects.begin(), objects.end(), ObjectId{0});
+  if (state.range(1) != 0) {
+    util::Rng rng(17);
+    rng.shuffle(objects);
+  }
   const auto store = make_store(0, false);
   std::size_t held = 0;
   for (auto _ : state) {
     const std::size_t before = heap_in_use();
     store::ErasureTier tier(0, store, members(8));
-    for (ObjectId object = 0; object < entries; ++object) {
-      tier.on_stripe_store(stripe_store(object, 0, 4096));
-    }
+    for (const ObjectId object : objects) tier.on_stripe_store(stripe_store(object, 0, 4096));
     const std::size_t after = heap_in_use();
     held = after > before ? after - before : 0;
     benchmark::DoNotOptimize(tier.directory_entries());
@@ -147,7 +156,11 @@ void BM_PeerDeadScan(benchmark::State& state) {
 BENCHMARK(BM_StripePeers)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_EffectiveOwners)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_DirectoryRecordEvict)->Arg(1000)->Arg(100000)->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_DirectoryFill)->Arg(85000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DirectoryFill)
+    ->ArgNames({"entries", "shuffled"})
+    ->Args({85000, 0})
+    ->Args({85000, 1})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PeerDeadScan)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

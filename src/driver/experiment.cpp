@@ -1,7 +1,6 @@
 #include "driver/experiment.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include "proxy/origin_server.h"
 #include "sim/simulator.h"
 #include "store/restripe.h"
-#include "util/flat_index.h"
 #include "util/logging.h"
 
 namespace adc::driver {
@@ -385,11 +383,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
     result.proxies.push_back(std::move(snapshot));
   }
 
-  // Post-run stripe census: union the chunk directories of every proxy
+  // Post-run stripe census: over the chunk directories of every proxy
   // still standing at sim end (crash windows that never restarted exclude
-  // their victim) and count the objects that can no longer gather k
-  // distinct chunk indexes — the set one more unavailability strands.
-  // With proactive repair this shrinks back toward zero as stripes heal.
+  // their victim), count the objects that can no longer gather k distinct
+  // chunk indexes — the set one more unavailability strands.  With
+  // proactive repair this shrinks back toward zero as stripes heal.  The
+  // census empties the directories; snapshots and erasure counters were
+  // taken above and nothing reads a directory after this.
   if (payload_store != nullptr && payload_store->config().erasure.enabled) {
     std::unordered_set<NodeId> down;
     for (const fault::CrashWindow& window : config.fault_plan.crashes) {
@@ -397,30 +397,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
         down.insert(window.node);
       }
     }
-    // Object -> row of `index_mask` (the chunk indexes seen for it).
-    util::FlatIndex mask_row;
-    std::vector<std::uint64_t> index_mask;
+    std::vector<store::ErasureTier*> standing;
     for (const sim::ProxyAgent* agent : agents) {
-      if (down.count(agent->id()) != 0) continue;
-      const store::ErasureTier* tier = agent->erasure_tier();
-      if (tier == nullptr) continue;
-      // RdpCode caps the stripe at 64 chunks, so every valid index fits.
-      tier->for_each_chunk([&](ObjectId object, int index, std::uint64_t) {
-        if (index < 0 || index >= 64) return;
-        std::uint32_t row = mask_row.find(object);
-        if (row == util::FlatIndex::kNone) {
-          row = static_cast<std::uint32_t>(index_mask.size());
-          mask_row.assign(object, row);
-          index_mask.push_back(0);
-        }
-        index_mask[row] |= 1ULL << index;
-      });
+      store::ErasureTier* tier = agent->erasure_tier();
+      if (tier != nullptr && down.count(agent->id()) == 0) standing.push_back(tier);
     }
-    const int k = payload_store->code().k();
-    result.store.stripe_objects_tracked += index_mask.size();
-    for (const std::uint64_t mask : index_mask) {
-      if (std::popcount(mask) < k) ++result.store.stripes_stranded;
-    }
+    const store::StripeCensus census =
+        store::take_stripe_census(standing, payload_store->code().k());
+    result.store.stripe_objects_tracked += census.objects;
+    result.store.stripes_stranded += census.stranded;
   }
 
   return result;

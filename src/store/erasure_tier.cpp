@@ -1,6 +1,7 @@
 #include "store/erasure_tier.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/rng.h"
 
@@ -151,7 +152,7 @@ bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) 
     return false;
   }
   // Re-registration (e.g. a new owner re-striped after churn): refresh.
-  drop_chunk(object);
+  release_chunk(object);
   const std::uint64_t budget = store_->config().erasure.directory_budget;
   if (budget > 0) {
     while (directory_bytes_ + bytes > budget && !directory_.empty()) {
@@ -166,10 +167,12 @@ bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) 
   return true;
 }
 
-void ErasureTier::drop_chunk(ObjectId object) {
+std::optional<int> ErasureTier::release_chunk(ObjectId object) {
   const auto slot = directory_.find(object);
-  if (slot == directory_.kNil) return;
-  directory_bytes_ -= directory_.erase(slot).bytes;
+  if (slot == directory_.kNil) return std::nullopt;
+  const DirEntry entry = directory_.erase(slot);
+  directory_bytes_ -= entry.bytes;
+  return entry.index;
 }
 
 void ErasureTier::on_stripe_store(const sim::Message& msg) {
@@ -392,7 +395,9 @@ void ErasureTier::on_restripe_ack(const sim::Message& msg) {
     // The original owner holds its chunk again; drop the foster copy
     // (unless the slot was since reused for a different index).
     const auto slot = directory_.find(msg.object);
-    if (slot != directory_.kNil && directory_[slot].index == item.index) drop_chunk(msg.object);
+    if (slot != directory_.kNil && directory_[slot].index == item.index) {
+      directory_bytes_ -= directory_.erase(slot).bytes;
+    }
     ++stats_.restripe_handbacks;
   } else {
     ++stats_.stripes_healed;
@@ -443,6 +448,23 @@ void ErasureTier::handle_peer_joined(NodeId peer) {
     item.hand_back = true;
     repair_.enqueue(item);
   }
+}
+
+StripeCensus take_stripe_census(const std::vector<ErasureTier*>& tiers, int k) {
+  const auto bit = [](int index) { return index >= 0 && index < 64 ? 1ULL << index : 0; };
+  StripeCensus census;
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    tiers[i]->drain_chunks([&](ObjectId object, int index, std::uint64_t) {
+      std::uint64_t mask = bit(index);
+      for (std::size_t j = i + 1; j < tiers.size(); ++j) {
+        if (const std::optional<int> other = tiers[j]->release_chunk(object)) mask |= bit(*other);
+      }
+      if (mask == 0) return;
+      ++census.objects;
+      if (std::popcount(mask) < k) ++census.stranded;
+    });
+  }
+  return census;
 }
 
 }  // namespace adc::store

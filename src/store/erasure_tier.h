@@ -33,6 +33,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/message.h"
@@ -224,12 +226,26 @@ class ErasureTier {
   std::uint64_t directory_bytes() const noexcept { return directory_bytes_; }
   std::size_t directory_entries() const noexcept { return directory_.size(); }
 
+  /// Drops `object`'s chunk from the directory; returns its index, or
+  /// nothing when no chunk of `object` is held.
+  std::optional<int> release_chunk(ObjectId object);
+
   /// Visits every directory entry as (object, chunk index, bytes), most
-  /// recently used first — the driver's post-run stripe census walks these
-  /// across all proxies.
+  /// recently used first (tests read directories through it).
   template <typename Fn>
   void for_each_chunk(Fn&& fn) const {
     directory_.for_each(
+        [&fn](const DirEntry& entry) { fn(entry.object, entry.index, entry.bytes); });
+  }
+
+  /// Moves the directory out, visits it like for_each_chunk and frees it,
+  /// leaving this tier's directory empty (see take_stripe_census).
+  template <typename Fn>
+  void drain_chunks(Fn&& fn) {
+    const util::KeyedList<DirEntry> directory =
+        std::exchange(directory_, util::KeyedList<DirEntry>());
+    directory_bytes_ = 0;
+    directory.for_each(
         [&fn](const DirEntry& entry) { fn(entry.object, entry.index, entry.bytes); });
   }
 
@@ -279,7 +295,6 @@ class ErasureTier {
   /// directory budget.  False for a chunk above kMaxChunkBytes (counted,
   /// directory untouched) or above the whole budget (recorded nowhere).
   bool record_chunk(ObjectId object, int index, std::uint64_t bytes);
-  void drop_chunk(ObjectId object);
 
   /// True when this node is `object`'s repair leader: the first alive
   /// member of place(object) in chunk-index order.  Decided from this
@@ -313,5 +328,21 @@ class ErasureTier {
   util::KeyedList<Recovery> recoveries_;  // by request id
   ErasureStats stats_;
 };
+
+/// What the post-run stripe census counts over the chunk directories of
+/// the proxies standing at the end of a run.
+struct StripeCensus {
+  std::size_t objects = 0;   // objects with a chunk held somewhere
+  std::size_t stranded = 0;  // of those, objects held at fewer than k
+                             // distinct chunk indexes: not reconstructible
+};
+
+/// Takes the census of `tiers` and empties their directories.  Each tier
+/// in turn is drained; every object it holds is released from the tiers
+/// after it, so each object is counted once, from all of its chunks,
+/// without a union of the directories — the census allocates nothing, and
+/// each directory is freed once counted.  Indexes outside [0, 64) (RdpCode
+/// caps a stripe at 64 chunks) count for nothing.
+StripeCensus take_stripe_census(const std::vector<ErasureTier*>& tiers, int k);
 
 }  // namespace adc::store

@@ -61,6 +61,7 @@ void FlatIndex::rehash(std::size_t buckets) {
   mask_ = buckets - 1;
   shift_ = 64;
   for (std::size_t n = buckets; n > 1; n /= 2) --shift_;
+  block_local_ = buckets >= kBlockLocalBuckets;
   size_ = 0;
   for (const Bucket& b : old) {
     if (b.slot != kNone) assign(b.key(), b.slot);

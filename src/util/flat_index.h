@@ -5,9 +5,18 @@
 // need only "which row holds key K".  std::unordered_map answers that with
 // one heap node per key and a pointer chase per probe; this index keeps
 // {key, slot} pairs inline in one power-of-two bucket array instead:
-// Fibonacci hashing picks the home bucket, linear probing resolves
-// collisions, and erase shifts the following run back (no tombstones), so
-// lookups stay short under any insert/erase churn.  An index sized for its
+// linear probing resolves collisions, and erase shifts the following run
+// back (no tombstones), so lookups stay short under any insert/erase churn.
+//
+// Fibonacci hashing picks the home bucket.  In an array of at least
+// kBlockLocalBuckets buckets (384 KiB, more than a core's L2 cache holds)
+// the home is block-local instead: the hash of key >> 3 picks a block of
+// 8 adjacent buckets and key & 7 the bucket inside it.  Object and request
+// ids are dense and come in order, so the ids a run has just introduced
+// share a few cache lines instead of each missing to memory.  A smaller
+// array stays cached anyway, and there whole-key hashing keeps dense keys
+// apart, so probe runs stay short.  Nothing iterates the buckets, so no
+// result depends on where a key lands.  An index sized for its
 // final population up front runs at most half full and never allocates
 // again; one that grows doubles its bucket array whenever the load would
 // exceed three quarters, so a large growing index (an erasure tier's chunk
@@ -32,6 +41,9 @@ class FlatIndex {
  public:
   /// Marks "no slot": returned by find() for absent keys.
   static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  /// Bucket arrays from this size on home keys block-locally.
+  static constexpr std::size_t kBlockLocalBuckets = std::size_t{1} << 15;
 
   /// Reserves room for `expected` keys without growing (at most half full).
   explicit FlatIndex(std::size_t expected = 0);
@@ -72,14 +84,21 @@ class FlatIndex {
   };
   static_assert(sizeof(Bucket) == 12, "a bucket is a key and a slot, unpadded");
 
+  /// The top bits of a Fibonacci hash of the key; in a block-local array,
+  /// of key >> 3 with the low 3 bits of the result replaced by key & 7.
+  /// The branch goes one way for the whole life of an array size, so a
+  /// small array pays nothing for the large ones' layout.
   std::size_t home(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+    if (!block_local_) return static_cast<std::size_t>((key * kFibonacci) >> shift_);
+    return static_cast<std::size_t>(((((key >> 3) * kFibonacci) >> shift_) & ~7ULL) | (key & 7));
   }
   void rehash(std::size_t buckets);
 
   std::vector<Bucket> buckets_;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
+  bool block_local_ = false;  // at least kBlockLocalBuckets buckets
   std::size_t size_ = 0;
 };
 

@@ -1,24 +1,34 @@
-// A keyed, doubly linked list of rows in one growable slab.
+// A keyed, doubly linked list of rows in fixed pages.
 //
 // The simulator's LRU and FIFO structures (the baseline caches, the
 // erasure tier's chunk directory, the re-stripe repair queue, the hashing
 // proxies' in-flight routes) all need the same three things: find the row
 // of key K, keep rows in one recency or arrival order, and move or drop a
 // row in O(1).  std::list + std::unordered_map answer that with two heap
-// nodes per key and a pointer chase per step.  Here rows live in one
-// vector, the order is threaded through them by 32-bit row numbers, a
+// nodes per key and a pointer chase per step.  Here rows live in pages,
+// the order is threaded through them by 32-bit row numbers, a
 // util::FlatIndex maps keys to rows, and released rows are recycled
-// through a free list before the slab grows — after warm-up nothing
-// allocates.  A list reserved for its final population never reallocates,
-// so references to rows stay valid; otherwise a push may move the slab.
+// through a free list before a new row is taken — after warm-up nothing
+// allocates.
+//
+// Pages never move or grow once allocated, so a push never moves a row
+// and references to rows stay valid until the row is erased.  The first
+// page holds 64 rows and each next one twice as many up to kMaxPageRows
+// (4,096), after which every page holds kMaxPageRows: a list never holds
+// more than one page of unused rows, a small list stays small, and a row
+// is found from its number by a shift and a mask.  A single reallocating
+// vector would hold up to twice its rows, and three times while it grows.
 //
 // Each value carries its own key: T provides `std::uint64_t key() const`,
 // so a row is the value plus two links and no key is stored twice.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/flat_index.h"
@@ -33,16 +43,42 @@ class KeyedList {
   /// Marks "no row": the end of the list, or find() on an absent key.
   static constexpr Slot kNil = FlatIndex::kNone;
 
-  /// A slab row: the value plus its two links.  Public so an owner can pin
-  /// its size next to T's definition.
+  /// Rows in the first page; each next page holds twice as many, up to
+  /// kMaxPageRows.  Both are powers of two.
+  static constexpr std::size_t kFirstPageRows = 64;
+  static constexpr std::size_t kMaxPageRows = 4096;
+
+  /// A row: the value plus its two links.  Public so an owner can pin its
+  /// size next to T's definition.
   struct Row {
     T value;
     Slot prev = kNil;  // toward the front
     Slot next = kNil;  // toward the back (or the next free row)
   };
 
-  /// Reserves room for `expected` rows without growing.
-  explicit KeyedList(std::size_t expected = 0) : index_(expected) { rows_.reserve(expected); }
+  /// Sizes the index for `expected` keys; rows take pages as they come.
+  explicit KeyedList(std::size_t expected = 0) : index_(expected) {}
+
+  /// A copy gets pages of its own, each with its full capacity, so pushes
+  /// into the copy never move its rows either.
+  KeyedList(const KeyedList& other)
+      : index_(other.index_),
+        used_(other.used_),
+        head_(other.head_),
+        tail_(other.tail_),
+        free_(other.free_) {
+    pages_.reserve(other.pages_.size());
+    for (std::size_t page = 0; page < other.pages_.size(); ++page) {
+      pages_.emplace_back().reserve(page_rows(page));
+      pages_.back().assign(other.pages_[page].begin(), other.pages_[page].end());
+    }
+  }
+  KeyedList& operator=(const KeyedList& other) {
+    if (this != &other) *this = KeyedList(other);
+    return *this;
+  }
+  KeyedList(KeyedList&&) noexcept = default;
+  KeyedList& operator=(KeyedList&&) noexcept = default;
 
   std::size_t size() const noexcept { return index_.size(); }
   bool empty() const noexcept { return index_.empty(); }
@@ -52,14 +88,14 @@ class KeyedList {
   bool contains(std::uint64_t key) const noexcept { return index_.contains(key); }
 
   /// A live row's value; callers must not change its key.
-  T& operator[](Slot slot) noexcept { return rows_[slot].value; }
-  const T& operator[](Slot slot) const noexcept { return rows_[slot].value; }
+  T& operator[](Slot slot) noexcept { return row(slot).value; }
+  const T& operator[](Slot slot) const noexcept { return row(slot).value; }
 
   /// Ends of the list and the links between them (kNil past either end).
   Slot front() const noexcept { return head_; }
   Slot back() const noexcept { return tail_; }
-  Slot next(Slot slot) const noexcept { return rows_[slot].next; }
-  Slot prev(Slot slot) const noexcept { return rows_[slot].prev; }
+  Slot next(Slot slot) const noexcept { return row(slot).next; }
+  Slot prev(Slot slot) const noexcept { return row(slot).prev; }
 
   /// Links a new row for `value`, whose key must be absent, at either end.
   Slot push_front(const T& value) {
@@ -87,7 +123,7 @@ class KeyedList {
   /// Unlinks a live row, drops its key and recycles it; returns its value.
   T erase(Slot slot) {
     unlink(slot);
-    Row& r = rows_[slot];
+    Row& r = row(slot);
     index_.erase(r.value.key());
     r.next = free_;
     free_ = slot;
@@ -102,58 +138,96 @@ class KeyedList {
     return true;
   }
 
-  /// Drops every row; keeps the slab's and the index's capacity.
+  /// Drops every row; keeps the pages and the index's capacity, and new
+  /// rows take slots from 0 again.
   void clear() noexcept {
-    rows_.clear();
+    for (std::vector<Row>& page : pages_) page.clear();
     index_.clear();
+    used_ = 0;
     head_ = tail_ = free_ = kNil;
   }
 
   /// Visits the values from front to back.  `fn` must not modify the list.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (Slot slot = head_; slot != kNil; slot = rows_[slot].next) fn(rows_[slot].value);
+    for (Slot slot = head_; slot != kNil; slot = row(slot).next) fn(row(slot).value);
   }
 
  private:
+  static constexpr unsigned kFirstShift = std::countr_zero(kFirstPageRows);
+  static constexpr unsigned kMaxShift = std::countr_zero(kMaxPageRows);
+  static_assert(std::has_single_bit(kFirstPageRows) && std::has_single_bit(kMaxPageRows) &&
+                kFirstPageRows <= kMaxPageRows);
+
+  /// Where a row lives: slot s is row n = s + kFirstPageRows of a run of
+  /// pages sized 64, 128, ... (page p starts at n = 64 << p) until they
+  /// reach kMaxPageRows, after which page p starts at n = (p - 5) << 12.
+  /// Either way the page is (n >> shift) + shift - 7 and the row's place
+  /// in it n's low `shift` bits, with shift = min(floor(log2 n), 12).
+  struct Place {
+    std::size_t page;
+    std::size_t offset;
+  };
+  static Place place(Slot slot) noexcept {
+    const std::size_t n = std::size_t{slot} + kFirstPageRows;
+    const unsigned shift = std::min(static_cast<unsigned>(std::bit_width(n)) - 1, kMaxShift);
+    return {(n >> shift) + shift - (kFirstShift + 1), n & ((std::size_t{1} << shift) - 1)};
+  }
+  static std::size_t page_rows(std::size_t page) noexcept {
+    return page < kMaxShift - kFirstShift ? kFirstPageRows << page : kMaxPageRows;
+  }
+
+  const Row& row(Slot slot) const noexcept {
+    const Place at = place(slot);
+    return pages_[at.page][at.offset];
+  }
+  Row& row(Slot slot) noexcept { return const_cast<Row&>(std::as_const(*this).row(slot)); }
+
   Slot acquire(const T& value) {
     assert(!index_.contains(value.key()));
     Slot slot = free_;
     if (slot != kNil) {
-      free_ = rows_[slot].next;
-      rows_[slot].value = value;
+      Row& r = row(slot);
+      free_ = r.next;
+      r.value = value;
     } else {
-      slot = static_cast<Slot>(rows_.size());
-      rows_.push_back(Row{value, kNil, kNil});
+      slot = static_cast<Slot>(used_++);
+      const std::size_t page = place(slot).page;
+      if (page == pages_.size()) pages_.emplace_back().reserve(page_rows(page));
+      pages_[page].push_back(Row{value, kNil, kNil});
     }
     index_.assign(value.key(), slot);
     return slot;
   }
 
   void link_front(Slot slot) noexcept {
-    Row& r = rows_[slot];
+    Row& r = row(slot);
     r.prev = kNil;
     r.next = head_;
-    (head_ == kNil ? tail_ : rows_[head_].prev) = slot;
+    (head_ == kNil ? tail_ : row(head_).prev) = slot;
     head_ = slot;
   }
 
   void link_back(Slot slot) noexcept {
-    Row& r = rows_[slot];
+    Row& r = row(slot);
     r.next = kNil;
     r.prev = tail_;
-    (tail_ == kNil ? head_ : rows_[tail_].next) = slot;
+    (tail_ == kNil ? head_ : row(tail_).next) = slot;
     tail_ = slot;
   }
 
   void unlink(Slot slot) noexcept {
-    const Row& r = rows_[slot];
-    (r.prev == kNil ? head_ : rows_[r.prev].next) = r.next;
-    (r.next == kNil ? tail_ : rows_[r.next].prev) = r.prev;
+    const Row& r = row(slot);
+    (r.prev == kNil ? head_ : row(r.prev).next) = r.next;
+    (r.next == kNil ? tail_ : row(r.next).prev) = r.prev;
   }
 
-  std::vector<Row> rows_;
+  /// Page p holds page_rows(p) rows; only the last one in use is partly
+  /// filled, and each is reserved in full when it is added, so its rows
+  /// never move.
+  std::vector<std::vector<Row>> pages_;
   FlatIndex index_;
+  std::size_t used_ = 0;  // slots handed out since construction or clear()
   Slot head_ = kNil;
   Slot tail_ = kNil;
   Slot free_ = kNil;

@@ -77,7 +77,7 @@ double Rng::exponential(double mean) noexcept {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha) : n_(n), alpha_(alpha) {
-  assert(n > 0);
+  assert(n > 0 && n < UINT32_MAX);
   cdf_.resize(n);
   double total = 0.0;
   for (std::size_t k = 1; k <= n; ++k) {
@@ -86,13 +86,22 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : n_(n), alpha_(alpha) {
   }
   for (auto& v : cdf_) v /= total;
   cdf_.back() = 1.0;  // guard against rounding in the final bucket
+  const double scale = static_cast<double>(n);
+  guide_.resize(n + 1);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j <= n; ++j) {
+    // cdf_.back() * n == n, so the scan stops by the last entry.
+    while (static_cast<std::size_t>(cdf_[k] * scale) < j) ++k;
+    guide_[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
-std::size_t ZipfSampler::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  // First index whose cdf >= u.
-  std::size_t lo = 0;
-  std::size_t hi = cdf_.size() - 1;
+std::size_t ZipfSampler::rank_of(double u) const noexcept {
+  // u < 1, so u * n <= n even after rounding up.
+  const auto j = static_cast<std::size_t>(u * static_cast<double>(n_));
+  // First index in [guide_[j], guide_[j + 1]] whose cdf >= u.
+  std::size_t lo = guide_[j];
+  std::size_t hi = j < n_ ? guide_[j + 1] : n_ - 1;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {

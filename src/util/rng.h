@@ -70,8 +70,10 @@ class Rng {
 };
 
 /// Samples Zipf(alpha) ranks in [1, n] by inverting the generalized harmonic
-/// CDF with binary search over precomputed partial sums.  Exact (no
-/// rejection approximation), O(log n) per sample, deterministic.
+/// CDF over precomputed partial sums.  Exact (no rejection approximation),
+/// deterministic, and O(1) expected per sample: a guide table indexed by
+/// floor(u * n) brackets the rank, and a binary search inside the bracket
+/// (usually one or two entries) finds the first CDF value >= u.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
@@ -79,8 +81,15 @@ class ZipfSampler {
   std::size_t n() const noexcept { return n_; }
   double alpha() const noexcept { return alpha_; }
 
-  /// Rank in [1, n]; rank 1 is the most popular.
-  std::size_t sample(Rng& rng) const noexcept;
+  /// Rank in [1, n]; rank 1 is the most popular.  Draws one uniform().
+  std::size_t sample(Rng& rng) const noexcept { return rank_of(rng.uniform()); }
+
+  /// The rank a uniform draw `u` in [0, 1) maps to: the smallest rank
+  /// whose CDF is >= u.
+  std::size_t rank_of(double u) const noexcept;
+
+  /// P(rank <= `rank`) for rank in [1, n] (for tests).
+  double cdf(std::size_t rank) const noexcept { return cdf_[rank - 1]; }
 
   /// Probability mass of a rank (for tests).
   double pmf(std::size_t rank) const noexcept;
@@ -89,6 +98,11 @@ class ZipfSampler {
   std::size_t n_;
   double alpha_;
   std::vector<double> cdf_;  // cdf_[k] = P(rank <= k+1)
+  // guide_[j] = first k with floor(cdf_[k] * n) >= j, for j in [0, n].
+  // The product is rounded like u * n in rank_of, and rounding is
+  // monotone, so every k below guide_[floor(u * n)] has cdf_[k] < u and
+  // guide_[floor(u * n) + 1] has cdf_ >= u: the answer lies between them.
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace adc::util

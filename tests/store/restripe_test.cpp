@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -210,61 +211,139 @@ TEST(RestripeTier, EffectiveOwnersAreDeterministicAliveAndDisjoint) {
   }
 }
 
-// Repair offers carry the bytes of the leader's directory entry, so every
-// directory in a cluster must hold exactly chunk_size(object) per chunk:
-// after striping, and after a death's repair rounds have re-homed chunks.
-TEST(RestripeTier, DirectoryBytesEqualChunkSizeThroughRepair) {
-  const PayloadStorePtr store = make_repair_store();
-  std::vector<std::unique_ptr<ErasureTier>> tiers;
-  for (const NodeId member : kMembers) {
-    tiers.push_back(std::make_unique<ErasureTier>(member, store, kMembers));
+/// One tier per member of kMembers over a shared store, with a delivery
+/// loop that hands every sent stripe store, offer and ack to its target
+/// until the network is quiet; messages to a member in `down` are lost.
+struct TierCluster {
+  explicit TierCluster(PayloadStorePtr shared) : store(std::move(shared)) {
+    for (const NodeId member : kMembers) {
+      tiers.push_back(std::make_unique<ErasureTier>(member, store, kMembers));
+    }
   }
-  constexpr NodeId kDead = 5;
-  RecordingTransport net;
-  const auto deliver = [&]() {
+
+  bool is_down(NodeId member) const {
+    return std::find(down.begin(), down.end(), member) != down.end();
+  }
+
+  void deliver() {
     while (!net.sent.empty()) {
       const std::vector<Message> batch = std::move(net.sent);
       net.sent.clear();
       for (const Message& msg : batch) {
-        if (msg.target == kDead) continue;
+        if (is_down(msg.target)) continue;
         ErasureTier& to = *tiers[static_cast<std::size_t>(msg.target)];
         if (msg.kind == MessageKind::kStripeStore) to.on_stripe_store(msg);
         if (msg.kind == MessageKind::kRestripeOffer) to.on_restripe_offer(net, msg);
         if (msg.kind == MessageKind::kRestripeAck) to.on_restripe_ack(msg);
       }
     }
-  };
+  }
+
+  /// Stripes objects [1, count], registered round-robin.
+  void stripe(ObjectId count) {
+    for (ObjectId object = 1; object <= count; ++object) {
+      tiers[object % kMembers.size()]->stripe_object(net, object);
+    }
+    deliver();
+  }
+
+  /// Every standing tier learns of `dead`'s death; then `rounds` repair
+  /// rounds run cluster-wide.
+  void kill_and_repair(NodeId dead, int rounds) {
+    down.push_back(dead);
+    for (const NodeId member : kMembers) {
+      if (!is_down(member)) tiers[member]->handle_peer_dead(dead);
+    }
+    for (int round = 0; round < rounds; ++round) {
+      for (const NodeId member : kMembers) {
+        if (!is_down(member)) tiers[member]->restripe_round(net);
+      }
+      deliver();
+    }
+  }
+
+  PayloadStorePtr store;
+  std::vector<std::unique_ptr<ErasureTier>> tiers;
+  std::vector<NodeId> down;
+  RecordingTransport net;
+};
+
+// Repair offers carry the bytes of the leader's directory entry, so every
+// directory in a cluster must hold exactly chunk_size(object) per chunk:
+// after striping, and after a death's repair rounds have re-homed chunks.
+TEST(RestripeTier, DirectoryBytesEqualChunkSizeThroughRepair) {
+  TierCluster cluster(make_repair_store());
   const auto expect_chunk_sizes = [&](const char* phase) {
     std::size_t chunks = 0;
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      if (kMembers[i] == kDead) continue;
-      tiers[i]->for_each_chunk([&](ObjectId object, int, std::uint64_t bytes) {
-        EXPECT_EQ(bytes, store->chunk_size(object)) << phase << " object " << object;
+    for (const NodeId member : kMembers) {
+      if (cluster.is_down(member)) continue;
+      cluster.tiers[member]->for_each_chunk([&](ObjectId object, int, std::uint64_t bytes) {
+        EXPECT_EQ(bytes, cluster.store->chunk_size(object)) << phase << " object " << object;
         ++chunks;
       });
     }
     EXPECT_GT(chunks, 0u) << phase;
   };
 
-  for (ObjectId object = 1; object <= 300; ++object) {
-    tiers[object % kMembers.size()]->stripe_object(net, object);
-  }
-  deliver();
+  cluster.stripe(300);
   expect_chunk_sizes("striped");
-
+  cluster.kill_and_repair(5, 8);
   std::uint64_t adopted = 0;
-  for (std::size_t i = 0; i < tiers.size(); ++i) {
-    if (kMembers[i] != kDead) tiers[i]->handle_peer_dead(kDead);
-  }
-  for (int round = 0; round < 8; ++round) {
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      if (kMembers[i] != kDead) tiers[i]->restripe_round(net);
-    }
-    deliver();
-  }
-  for (const auto& tier : tiers) adopted += tier->stats().restripe_adopted;
+  for (const auto& tier : cluster.tiers) adopted += tier->stats().restripe_adopted;
   EXPECT_GT(adopted, 0u);
   expect_chunk_sizes("repaired");
+}
+
+// The driver's post-run census empties each directory as it counts it.
+// After a death and a partial repair, with two more members down at the
+// end, it must count what a union of the standing directories (walked
+// read-only) counts — and leave every counted directory empty but usable.
+TEST(RestripeTier, StripeCensusMatchesAUnionOfTheDirectories) {
+  TierCluster cluster(make_repair_store(/*repair_budget=*/1));
+  cluster.stripe(400);
+  cluster.kill_and_repair(5, 2);  // one offer per leader per round: partial
+  cluster.down.push_back(6);
+  cluster.down.push_back(7);
+
+  std::map<ObjectId, std::set<int>> held;  // object -> chunk indexes held
+  std::vector<ErasureTier*> standing;
+  for (const NodeId member : kMembers) {
+    if (cluster.is_down(member)) continue;
+    standing.push_back(cluster.tiers[member].get());
+    standing.back()->for_each_chunk(
+        [&held](ObjectId object, int index, std::uint64_t) { held[object].insert(index); });
+  }
+  const int k = cluster.store->code().k();
+  const auto stranded = static_cast<std::size_t>(
+      std::count_if(held.begin(), held.end(), [k](const auto& object_indexes) {
+        return object_indexes.second.size() < static_cast<std::size_t>(k);
+      }));
+  ASSERT_GT(stranded, 0u);  // the census has something to count
+  ASSERT_LT(stranded, held.size());
+
+  const StripeCensus census = take_stripe_census(standing, k);
+  EXPECT_EQ(census.objects, held.size());
+  EXPECT_EQ(census.stranded, stranded);
+  for (const ErasureTier* tier : standing) {
+    EXPECT_EQ(tier->directory_entries(), 0u);
+    EXPECT_EQ(tier->directory_bytes(), 0u);
+    std::size_t visited = 0;
+    tier->for_each_chunk([&visited](ObjectId, int, std::uint64_t) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+  }
+  EXPECT_GT(cluster.tiers[6]->directory_entries(), 0u);  // down: not counted, kept
+  // A counted directory records chunks again like a new one.
+  ErasureTier& tier = *cluster.tiers[0];
+  Message store_msg;
+  store_msg.kind = MessageKind::kStripeStore;
+  store_msg.object = 9001;
+  store_msg.sender = 1;
+  store_msg.target = 0;
+  store_msg.resolver = 2;
+  store_msg.payload_bytes = 640;
+  tier.on_stripe_store(store_msg);
+  EXPECT_TRUE(tier.holds_chunk(9001));
+  EXPECT_EQ(tier.directory_bytes(), 640u);
 }
 
 TEST(RestripeTier, TwoDeathsElectDistinctReplacements) {

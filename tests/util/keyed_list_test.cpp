@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <list>
 #include <unordered_map>
@@ -63,7 +64,7 @@ TEST(KeyedList, ReleasedRowsAreRecycledBeforeGrowing) {
   EXPECT_EQ(list.push_back(Item{3, 3}), a);  // the freed row, not a new one
   list.clear();
   EXPECT_TRUE(list.empty());
-  EXPECT_EQ(list.push_front(Item{4, 4}), 0u);  // clear() restarts the slab
+  EXPECT_EQ(list.push_front(Item{4, 4}), 0u);  // clear() restarts the slot numbers
   EXPECT_EQ(list[list.find(4)].value, 4);
 }
 
@@ -74,18 +75,105 @@ TEST(KeyedList, ReservedListKeepsRowsInPlace) {
   EXPECT_EQ(first, &list[list.find(0)]);
 }
 
+// The last row of each page and the first of the next, for the default
+// layout: pages of 64, 128, ..., 2048 rows, then 4,096 each.
+TEST(KeyedList, PageBoundariesFollowTheDoublingLayout) {
+  static_assert(List::kFirstPageRows == 64 && List::kMaxPageRows == 4096);
+  List list;
+  std::vector<const Item*> where;
+  for (std::uint64_t key = 0; key < 20000; ++key) {
+    const auto slot = list.push_back(Item{key, static_cast<int>(key)});
+    ASSERT_EQ(slot, key);
+    where.push_back(&list[slot]);
+  }
+  // Pushes never move a row: every reference taken along the way holds.
+  for (const std::uint64_t slot : {0u, 63u, 64u, 191u, 192u, 4031u, 4032u, 8127u, 8128u,
+                                   12223u, 12224u, 19999u}) {
+    EXPECT_EQ(where[slot], &list[static_cast<List::Slot>(slot)]) << "slot " << slot;
+    EXPECT_EQ(where[slot]->id, slot);
+  }
+  // Each page is one contiguous run of rows.
+  const auto bytes_between = [&where](std::size_t a, std::size_t b) {
+    return reinterpret_cast<const char*>(where[b]) - reinterpret_cast<const char*>(where[a]);
+  };
+  const std::pair<std::size_t, std::size_t> pages[] = {
+      {0, 63},      {64, 191},     {192, 447},    {448, 959},     {960, 1983},
+      {1984, 4031}, {4032, 8127},  {8128, 12223}, {12224, 16319},
+  };
+  for (const auto& [first, last] : pages) {
+    EXPECT_EQ(bytes_between(first, last),
+              static_cast<std::ptrdiff_t>((last - first) * sizeof(List::Row)))
+        << "page " << first << ".." << last;
+  }
+  for (std::uint64_t key = 0; key < 20000; ++key) ASSERT_EQ(list[list.find(key)].value, key);
+  std::uint64_t expect = 0;
+  list.for_each([&expect](const Item& item) { EXPECT_EQ(item.id, expect++); });
+  EXPECT_EQ(expect, 20000u);
+}
+
+TEST(KeyedList, CopyOfAMultiPageListIsIndependent) {
+  List list;
+  for (std::uint64_t key = 0; key < 9000; ++key) list.push_back(Item{key, 1});
+  List copy = list;
+  for (std::uint64_t key = 0; key < 9000; key += 2) copy.erase_key(key);
+  // 4,500 pushes reuse the erased rows; the rest fill the copy's last page.
+  const Item* kept = &copy[copy.find(8999)];
+  for (std::uint64_t key = 9000; key < 15000; ++key) copy.push_front(Item{key, 2});
+  EXPECT_EQ(kept, &copy[copy.find(8999)]);  // the copy's rows stay put too
+  copy[copy.find(1)].value = 7;
+  EXPECT_EQ(list.size(), 9000u);
+  EXPECT_EQ(copy.size(), 10500u);
+  EXPECT_EQ(list[list.find(1)].value, 1);
+  EXPECT_TRUE(list.contains(0));
+  EXPECT_FALSE(list.contains(9000));
+  EXPECT_EQ(list.front(), list.find(0));
+  EXPECT_EQ(copy.front(), copy.find(14999));
+  List assigned;
+  assigned.push_back(Item{5, 5});
+  assigned = copy;
+  EXPECT_EQ(walk(assigned), walk(copy));
+  EXPECT_NE(&assigned[assigned.find(1)], &copy[copy.find(1)]);
+}
+
+TEST(KeyedList, ClearThenRefillReusesPages) {
+  List list;
+  std::vector<const Item*> before;
+  for (std::uint64_t key = 0; key < 5000; ++key) {
+    before.push_back(&list[list.push_back(Item{key, 0})]);
+  }
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.front(), List::kNil);
+  for (std::uint64_t key = 0; key < 5000; ++key) {
+    const auto slot = list.push_front(Item{key + 100000, 1});
+    ASSERT_EQ(slot, key);
+    ASSERT_EQ(&list[slot], before[key]) << "slot " << slot;  // the same page memory
+  }
+  EXPECT_FALSE(list.contains(0));
+  EXPECT_EQ(list[list.front()].id, 104999u);
+}
+
 TEST(KeyedList, RandomChurnMatchesListAndMap) {
   // Reference: std::list for the order plus a map from key to iterator.
+  // The first half mostly pushes, so the list passes 10k rows (several
+  // full pages); the second half mostly erases, recycling rows across
+  // pages through the free list.
   List list;
   std::list<std::pair<std::uint64_t, int>> ref;
   std::unordered_map<std::uint64_t, std::list<std::pair<std::uint64_t, int>>::iterator> where;
   Rng rng(21);
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t key = rng.next() % 300;
+  std::size_t most = 0;
+  constexpr int kSteps = 60000;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::uint64_t key = rng.next() % 40000;
     const int value = static_cast<int>(rng.next() % 1000);
     const auto slot = list.find(key);
     ASSERT_EQ(slot != List::kNil, where.count(key) != 0) << "step " << step;
-    switch (rng.next() % 4) {
+    // Operation per roll of 8: 0 push_front, 1 push_back, 2 move, 3 erase.
+    static constexpr int kGrowing[8] = {0, 1, 0, 1, 0, 2, 2, 3};
+    static constexpr int kShrinking[8] = {0, 1, 2, 3, 3, 3, 3, 3};
+    const std::uint64_t roll = rng.next() % 8;
+    switch ((step < kSteps / 2 ? kGrowing : kShrinking)[roll]) {
       case 0:
         if (slot == List::kNil) {
           list.push_front(Item{key, value});
@@ -115,11 +203,15 @@ TEST(KeyedList, RandomChurnMatchesListAndMap) {
         break;
     }
     ASSERT_EQ(list.size(), ref.size());
-    if (step % 500 == 0) {
+    most = std::max(most, list.size());
+    if (step % 2000 == 0) {
       const std::vector<std::pair<std::uint64_t, int>> want(ref.begin(), ref.end());
       ASSERT_EQ(walk(list), want);
     }
   }
+  EXPECT_GT(most, 10000u);
+  const std::vector<std::pair<std::uint64_t, int>> want(ref.begin(), ref.end());
+  EXPECT_EQ(walk(list), want);
 }
 
 }  // namespace

@@ -192,6 +192,53 @@ TEST_P(ZipfSamplerTest, SamplesInRange) {
   }
 }
 
+// The rank a plain binary search over the CDF picks: the first rank whose
+// CDF is >= u.
+std::size_t searched_rank(const std::vector<double>& cdf, double u) {
+  return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin()) + 1;
+}
+
+std::vector<double> cdf_of(const ZipfSampler& zipf) {
+  std::vector<double> cdf;
+  for (std::size_t r = 1; r <= zipf.n(); ++r) cdf.push_back(zipf.cdf(r));
+  return cdf;
+}
+
+// The guide table must only shorten the search, never change its answer.
+TEST_P(ZipfSamplerTest, GuidedRankMatchesBinarySearchOnDraws) {
+  const ZipfSampler zipf(5000, GetParam());
+  const std::vector<double> cdf = cdf_of(zipf);
+  Rng rng(43);
+  for (int i = 0; i < 1000000; ++i) {
+    const double u = rng.uniform();
+    ASSERT_EQ(zipf.rank_of(u), searched_rank(cdf, u)) << "u = " << u;
+  }
+}
+
+// Draws that land exactly on a CDF value, or one ulp either side of it,
+// are where a guide table built with different rounding would go wrong.
+TEST_P(ZipfSamplerTest, GuidedRankMatchesBinarySearchAtEveryCdfValue) {
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 97u, 1000u, 4099u}) {
+    const ZipfSampler zipf(n, GetParam());
+    const std::vector<double> cdf = cdf_of(zipf);
+    std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+    for (const double c : cdf) {
+      for (const double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+        if (u >= 0.0 && u < 1.0) probes.push_back(u);
+      }
+    }
+    for (std::size_t j = 0; j <= n; ++j) {  // the guide table's own edges
+      const double edge = static_cast<double>(j) / static_cast<double>(n);
+      for (const double u : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 2.0)}) {
+        if (u >= 0.0 && u < 1.0) probes.push_back(u);
+      }
+    }
+    for (const double u : probes) {
+      ASSERT_EQ(zipf.rank_of(u), searched_rank(cdf, u)) << "n = " << n << ", u = " << u;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Alphas, ZipfSamplerTest,
                          ::testing::Values(0.0, 0.5, 0.8, 1.0, 1.1, 1.5));
 

@@ -1,10 +1,10 @@
 #include "cache/policies.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
+#include "util/indexed_heap.h"
 #include "util/keyed_list.h"
-#include "util/string_util.h"
 
 namespace adc::cache {
 namespace {
@@ -45,7 +45,7 @@ class ListCache final : public CacheSet {
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
     if (budget_ > 0 && sz > budget_) return;  // can never fit
     while (!rows_.empty() &&
-           ((capacity() > 0 && size() >= capacity()) || (budget_ > 0 && bytes_ + sz > budget_))) {
+           (size() >= capacity() || (budget_ > 0 && bytes_ + sz > budget_))) {
       evicted->push_back(evict(victim(rows_)));
     }
     rows_.push_front(Entry{object, sz});
@@ -131,7 +131,8 @@ class ListCache final : public CacheSet {
 /// GDSF and LFU share one layout; they differ only in the priority
 /// function (GDSF: L + freq / size with L inflation; LFU: plain
 /// frequency).  Rows live in a util::KeyedList (its order is unused) and a
-/// binary min-heap of (priority, insertion seq) picks the victim.  The seq
+/// binary min-heap of (priority, insertion seq) picks the victim; each row
+/// keeps its key's heap position (util/indexed_heap.h).  The seq
 /// makes every key unique, so the minimum — and therefore the whole
 /// eviction order — is fully deterministic.
 class HeapCache final : public CacheSet {
@@ -153,8 +154,7 @@ class HeapCache final : public CacheSet {
     Key& key = heap_[meta.heap_pos];
     key.priority = priority_of(meta.freq, meta.size);
     key.seq = next_seq_++;
-    // The key only grows (freq and L never fall, seq is fresh).
-    sift_down(meta.heap_pos);
+    util::heap_sift(heap_, meta.heap_pos, less, Placed{rows_});
   }
 
   void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) override {
@@ -165,12 +165,11 @@ class HeapCache final : public CacheSet {
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
     if (budget_ > 0 && sz > budget_) return;
     while (!heap_.empty() &&
-           ((capacity() > 0 && size() >= capacity()) || (budget_ > 0 && bytes_ + sz > budget_))) {
+           (size() >= capacity() || (budget_ > 0 && bytes_ + sz > budget_))) {
       evicted->push_back(evict_min());
     }
     const Slot slot = rows_.push_back(Meta{object, 1, sz, 0});
-    heap_.push_back(Key{priority_of(1, sz), next_seq_++, slot});
-    sift_up(heap_.size() - 1);
+    util::heap_push(heap_, Key{priority_of(1, sz), next_seq_++, slot}, less, Placed{rows_});
     bytes_ += sz;
   }
 
@@ -232,46 +231,19 @@ class HeapCache final : public CacheSet {
     return inflation_ + static_cast<double>(freq) / static_cast<double>(size == 0 ? 1 : size);
   }
 
-  void put(std::size_t pos, const Key& key) noexcept {
-    heap_[pos] = key;
-    rows_[key.slot].heap_pos = pos;
-  }
-
-  void sift_up(std::size_t pos) noexcept {
-    const Key key = heap_[pos];
-    while (pos > 0) {
-      const std::size_t parent = (pos - 1) / 2;
-      if (!less(key, heap_[parent])) break;
-      put(pos, heap_[parent]);
-      pos = parent;
+  /// Records a moved key's heap position in its row.
+  struct Placed {
+    Rows& rows;
+    void operator()(const Key& key, std::size_t pos) const noexcept {
+      rows[key.slot].heap_pos = pos;
     }
-    put(pos, key);
-  }
+  };
 
-  void sift_down(std::size_t pos) noexcept {
-    const Key key = heap_[pos];
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * pos + 1;
-      if (child >= n) break;
-      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
-      if (!less(heap_[child], key)) break;
-      put(pos, heap_[child]);
-      pos = child;
-    }
-    put(pos, key);
-  }
-
-  /// Drops the row and its heap key, restoring the heap around the hole.
+  /// Drops the row and its heap key.
   void remove(Slot slot) {
     const std::size_t pos = rows_[slot].heap_pos;
     bytes_ -= rows_.erase(slot).size;
-    const Key last = heap_.back();
-    heap_.pop_back();
-    if (pos == heap_.size()) return;
-    put(pos, last);
-    sift_up(pos);
-    sift_down(rows_[last.slot].heap_pos);
+    util::heap_erase(heap_, pos, less, Placed{rows_});
   }
 
   ObjectId evict_min() {
@@ -304,14 +276,6 @@ const std::vector<std::pair<std::string, Policy>>& policy_names() {
   return names;
 }
 
-Policy parse_policy(std::string_view name) noexcept {
-  const std::string lowered = util::to_lower(name);
-  for (const auto& [known, policy] : policy_names()) {
-    if (known == lowered) return policy;
-  }
-  return Policy::kLru;
-}
-
 std::string_view policy_name(Policy policy) noexcept {
   for (const auto& [name, known] : policy_names()) {
     if (known == policy) return name;
@@ -325,7 +289,7 @@ std::unique_ptr<CacheSet> make_cache(std::size_t capacity, Policy policy) {
 
 std::unique_ptr<CacheSet> make_sized_cache(std::size_t capacity, Policy policy,
                                            std::uint64_t byte_budget, SizeFn size_fn) {
-  assert(capacity > 0);
+  if (capacity == 0) throw std::invalid_argument("make_sized_cache: capacity must be at least 1");
   switch (policy) {
     case Policy::kLru:
       break;

@@ -41,8 +41,6 @@ enum class Policy {
 /// first entry is its policy_name().  Also the CLIs' `--cache-policy` choices.
 const std::vector<std::pair<std::string, Policy>>& policy_names();
 
-/// Looks `name` up in policy_names() (case-insensitive); defaults to LRU.
-Policy parse_policy(std::string_view name) noexcept;
 std::string_view policy_name(Policy policy) noexcept;
 
 /// Maps an object to its payload size in bytes (pure and stable for the
@@ -132,13 +130,14 @@ class CacheSet {
 
 /// Count-capacity cache: every object is charged one byte and no byte
 /// budget applies, so kGdsf / kSizeLru degenerate to LFU-with-aging and
-/// LRU respectively.
+/// LRU respectively.  Throws std::invalid_argument for a capacity of 0.
 std::unique_ptr<CacheSet> make_cache(std::size_t capacity, Policy policy);
 
 /// Size-aware cache: enforces the count capacity *and*, when byte_budget
 /// > 0, the byte budget (multi-evicting per policy until both hold).
 /// Objects larger than the byte budget are never admitted.  `size_fn`
-/// must be valid for the cache's lifetime.
+/// must be valid for the cache's lifetime.  Throws std::invalid_argument
+/// for a capacity of 0, in every build.
 std::unique_ptr<CacheSet> make_sized_cache(std::size_t capacity, Policy policy,
                                            std::uint64_t byte_budget, SizeFn size_fn);
 

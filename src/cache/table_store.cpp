@@ -4,6 +4,8 @@
 #include <cassert>
 #include <iterator>
 
+#include "util/indexed_heap.h"
+
 namespace adc::cache {
 
 // --- FaithfulRows ----------------------------------------------------------
@@ -91,12 +93,7 @@ IndexedRows::Handle IndexedRows::refresh(const Handle& h) noexcept {
     return h;
   }
   rows_[h.row].aux = next_seq();
-  const std::size_t pos = low_link(h.row);
-  if (pos > 0 && before(heap(h.table)[(pos - 1) / 2], h.row)) {
-    sift_up(h.table, pos);
-  } else {
-    sift_down(h.table, pos);
-  }
+  util::heap_sift(heap(h.table), low_link(h.row), worse(), placed(h.table));
   return h;
 }
 
@@ -104,7 +101,7 @@ IndexedRows::Detached IndexedRows::detach(const Handle& h) noexcept {
   if (h.table == TableId::kSingle) {
     list_unlink(h.row);
   } else {
-    heap_remove(h.table, low_link(h.row));
+    util::heap_erase(heap(h.table), low_link(h.row), worse(), placed(h.table));
   }
   return {h.row};
 }
@@ -114,7 +111,8 @@ IndexedRows::Handle IndexedRows::attach(const Detached& d, TableId table) noexce
   if (table == TableId::kSingle) {
     list_push_front(d.row);
   } else {
-    heap_push(table, d.row);
+    rows_[d.row].aux = next_seq();
+    util::heap_push(heap(table), d.row, worse(), placed(table));
   }
   return {table, d.row};
 }
@@ -159,58 +157,6 @@ void IndexedRows::compact_seqs() {
     next = std::max(next, static_cast<std::uint32_t>(order.size()));
   }
   next_seq_ = next;
-}
-
-void IndexedRows::place(TableId table, std::size_t pos, std::uint32_t row) noexcept {
-  heap(table)[pos] = row;
-  set_link(row, table, static_cast<std::uint32_t>(pos));
-}
-
-void IndexedRows::sift_up(TableId table, std::size_t pos) noexcept {
-  const std::vector<std::uint32_t>& h = heap(table);
-  const std::uint32_t row = h[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!before(h[parent], row)) break;
-    place(table, pos, h[parent]);
-    pos = parent;
-  }
-  place(table, pos, row);
-}
-
-void IndexedRows::sift_down(TableId table, std::size_t pos) noexcept {
-  const std::vector<std::uint32_t>& h = heap(table);
-  const std::uint32_t row = h[pos];
-  const std::size_t n = h.size();
-  for (;;) {
-    std::size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(h[child], h[child + 1])) ++child;
-    if (!before(row, h[child])) break;
-    place(table, pos, h[child]);
-    pos = child;
-  }
-  place(table, pos, row);
-}
-
-void IndexedRows::heap_push(TableId table, std::uint32_t row) noexcept {
-  rows_[row].aux = next_seq();
-  std::vector<std::uint32_t>& h = heap(table);
-  h.push_back(row);
-  sift_up(table, h.size() - 1);
-}
-
-void IndexedRows::heap_remove(TableId table, std::size_t pos) noexcept {
-  std::vector<std::uint32_t>& h = heap(table);
-  const std::uint32_t last = h.back();
-  h.pop_back();
-  if (pos >= h.size()) return;
-  place(table, pos, last);
-  if (pos > 0 && before(h[(pos - 1) / 2], last)) {
-    sift_up(table, pos);
-  } else {
-    sift_down(table, pos);
-  }
 }
 
 void IndexedRows::list_push_front(std::uint32_t row) noexcept {

@@ -26,10 +26,12 @@
 //    lookup a linear scan, every move a copy.  Figure 15 measures this.
 //  * IndexedRows — one slab of 64-byte rows for all three tables and one
 //    util::FlatIndex from object id to row.  Caching and multiple are
-//    binary max-heaps of row ids on (skew, insertion seq); the single-table
-//    is an LRU list threaded through the rows.  A refresh re-sifts its row
-//    in place; a move relinks the row without copying the entry or touching
-//    the index.  Nothing allocates after construction.
+//    binary max-heaps of row ids on (skew, insertion seq), kept by the
+//    util/indexed_heap.h helpers with each row's heap position in its
+//    link; the single-table is an LRU list threaded through the rows.  A
+//    refresh re-sifts its row in place; a move relinks the row without
+//    copying the entry or touching the index.  Nothing allocates after
+//    construction.
 #pragma once
 
 #include <cstddef>
@@ -261,15 +263,21 @@ class IndexedRows {
     const SimTime sy = y.entry.skew();
     return sx != sy ? sx < sy : x.aux < y.aux;
   }
+  /// The heap helpers' order and position callback for an ordered table:
+  /// the worst row sits at the root, and a moved row records its new
+  /// position in its link.
+  auto worse() const noexcept {
+    return [this](std::uint32_t a, std::uint32_t b) { return before(b, a); };
+  }
+  auto placed(TableId table) noexcept {
+    return [this, table](std::uint32_t row, std::size_t pos) {
+      set_link(row, table, static_cast<std::uint32_t>(pos));
+    };
+  }
   std::uint32_t next_seq() {
     if (next_seq_ == std::numeric_limits<std::uint32_t>::max()) compact_seqs();
     return next_seq_++;
   }
-  void place(TableId table, std::size_t pos, std::uint32_t row) noexcept;
-  void sift_up(TableId table, std::size_t pos) noexcept;
-  void sift_down(TableId table, std::size_t pos) noexcept;
-  void heap_push(TableId table, std::uint32_t row) noexcept;
-  void heap_remove(TableId table, std::size_t pos) noexcept;
   void list_push_front(std::uint32_t row) noexcept;
   void list_unlink(std::uint32_t row) noexcept;
   /// A table's rows best-to-worst (sorts a copy of the heap).

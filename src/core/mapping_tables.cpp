@@ -203,10 +203,6 @@ bool MappingTables::repair_location(ObjectId object, NodeId location, std::uint6
   return true;
 }
 
-void MappingTables::stamp_claim(ObjectId object, std::uint64_t claim) {
-  if (TableEntry* e = locate(object).entry) e->raise_claim(claim);
-}
-
 std::size_t MappingTables::total_entries() const noexcept {
   return single().size() + multiple().size() + caching().size();
 }

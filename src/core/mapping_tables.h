@@ -132,10 +132,6 @@ class MappingTables {
   /// stands).  Returns false when the object is unknown or cached.
   bool repair_location(ObjectId object, NodeId location, std::uint64_t claim);
 
-  /// Raises the stored claim of an existing entry to at least `claim`
-  /// (in place, no aging).
-  void stamp_claim(ObjectId object, std::uint64_t claim);
-
   /// Drops every single- and multiple-table entry whose believed location
   /// is `location` — used when a peer is detected dead, so requests stop
   /// forwarding into a black hole.  Caching-table entries survive: the

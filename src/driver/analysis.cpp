@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "driver/parallel.h"
-
 namespace adc::driver {
 
 std::vector<PhaseMetrics> phase_breakdown(const ExperimentResult& result,
@@ -68,22 +66,6 @@ LoadStats load_balance(const std::vector<ProxySnapshot>& proxies) {
   variance /= static_cast<double>(proxies.size());
   stats.cv = mean == 0.0 ? 0.0 : std::sqrt(variance) / mean;
   return stats;
-}
-
-ReplicationSummary run_seeds(const ExperimentConfig& config, const workload::Trace& trace,
-                             const std::vector<std::uint64_t>& seeds) {
-  ReplicationSummary summary;
-  summary.runs = seeds.size();
-  if (seeds.empty()) return summary;
-
-  ExperimentConfig run_config = config;
-  run_config.sample_every = 0;  // series not needed for aggregates
-  const ReplicationResult replicated = run_replicated(run_config, trace, seeds, /*workers=*/1);
-  summary.hit_rate_mean = replicated.hit_rate.mean;
-  summary.hit_rate_sd = replicated.hit_rate.stddev;
-  summary.hops_mean = replicated.avg_hops.mean;
-  summary.hops_sd = replicated.avg_hops.stddev;
-  return summary;
 }
 
 DuplicationStats duplication(const std::vector<ProxySnapshot>& proxies) {

@@ -51,20 +51,4 @@ struct DuplicationStats {
 /// ExperimentConfig::collect_cache_contents = true.
 DuplicationStats duplication(const std::vector<ProxySnapshot>& proxies);
 
-/// Mean and sample standard deviation over replicated runs.
-struct ReplicationSummary {
-  std::size_t runs = 0;
-  double hit_rate_mean = 0.0;
-  double hit_rate_sd = 0.0;
-  double hops_mean = 0.0;
-  double hops_sd = 0.0;
-};
-
-/// Runs the experiment once per seed (everything else fixed) and
-/// aggregates — the error bars behind any single-seed comparison.  Thin
-/// serial wrapper over run_replicated() (driver/parallel.h), which also
-/// offers confidence intervals and multi-threaded fan-out.
-ReplicationSummary run_seeds(const ExperimentConfig& config, const workload::Trace& trace,
-                             const std::vector<std::uint64_t>& seeds);
-
 }  // namespace adc::driver

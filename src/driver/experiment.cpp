@@ -90,6 +90,13 @@ void collect_erasure(ExperimentResult::StoreSummary& out, const store::ErasureTi
 std::string ExperimentConfig::validate() const {
   const std::string range = " must name a proxy in [0, " + std::to_string(proxies) + ")";
   if (proxies < 1) return "proxies must be at least 1, got " + std::to_string(proxies);
+  if (scheme != Scheme::kAdc && baseline_capacity(*this) == 0) {
+    return "baseline_cache_capacity and adc.caching_table_size are both 0: a " +
+           std::string(scheme_name(scheme)) + " proxy needs a cache of at least 1 object";
+  }
+  if (scheme == Scheme::kAdc && !adc.selective_caching && adc.caching_table_size == 0) {
+    return "adc.caching_table_size must be at least 1 with adc.selective_caching off";
+  }
   if (scheme == Scheme::kCarp && !carp_load_factors.empty() &&
       carp_load_factors.size() != static_cast<std::size_t>(proxies)) {
     return "carp_load_factors has " + std::to_string(carp_load_factors.size()) +
@@ -170,10 +177,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   const bool membership_on = !members.empty();
 
   if (config.scheme == Scheme::kHierarchical) {
-    // The root is one more cache node, above the leaves and below the origin.
+    // The root is one more cache node, above the leaves and below the
+    // origin, with a leaf's capacity.
     ProxySpec root = spec;
     root.upstream = origin_id;
-    if (config.root_cache_capacity != 0) root.cache_capacity = config.root_cache_capacity;
     sim.add_node(build_proxy(root, root_id, "root").node);
   }
   if (config.scheme == Scheme::kCoordinator) {
@@ -185,9 +192,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   if (config.object_update_interval > 0) {
     oracle = std::make_shared<sim::VersionOracle>(config.object_update_interval);
   }
-  auto origin = std::make_unique<proxy::OriginServer>(origin_id, "origin", oracle);
-  origin->set_sizer(payload_store);
-  sim.add_node(std::move(origin));
+  auto origin_ptr = std::make_unique<proxy::OriginServer>(origin_id, "origin", oracle);
+  const proxy::OriginServer& origin = *origin_ptr;
+  origin_ptr->set_sizer(payload_store);
+  sim.add_node(std::move(origin_ptr));
 
   TraceStream stream(trace);
   auto client_ptr = std::make_unique<proxy::Client>(client_id, "client", stream, entry_proxies,
@@ -284,10 +292,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   result.events = events;
   result.messages = sim.network().messages_sent();
   result.sim_end_time = sim.now();
-  result.origin_served =
-      static_cast<const proxy::OriginServer&>(sim.node(origin_id)).requests_served();
-  result.store.origin_bytes_served =
-      static_cast<const proxy::OriginServer&>(sim.node(origin_id)).bytes_served();
+  result.origin_served = origin.requests_served();
+  result.store.origin_bytes_served = origin.bytes_served();
   result.hops_p50 = sim.metrics().hop_histogram().percentile(0.50);
   result.hops_p95 = sim.metrics().hop_histogram().percentile(0.95);
   result.hops_max = sim.metrics().hop_histogram().max_seen();

@@ -46,9 +46,6 @@ struct ExperimentConfig {
   /// owns roughly half the URL space of a factor-1.0 peer.
   std::vector<double> carp_load_factors;
 
-  /// Hierarchical: root cache capacity; 0 means same as a leaf.
-  std::size_t root_cache_capacity = 0;
-
   /// SOAP: number of URL categories (domains) its mapping tables cover.
   std::size_t soap_categories = 256;
 
@@ -136,9 +133,10 @@ struct ExperimentConfig {
 
   sim::LatencyModel latency;
 
-  /// Checks what run_experiment cannot run: no proxies, CARP load factors
-  /// that do not cover every proxy, or a fault (FaultSpec, or a crash
-  /// window that flushes state) aimed at a node that is not a proxy.
+  /// Checks what run_experiment cannot run: no proxies, a proxy cache of
+  /// capacity 0, CARP load factors that do not cover every proxy, or a
+  /// fault (FaultSpec, or a crash window that flushes state) aimed at a
+  /// node that is not a proxy.
   /// Returns the first problem, or an empty string for a runnable config.
   /// Unlike an assert this holds in release builds; run_experiment throws
   /// std::invalid_argument with the same message.

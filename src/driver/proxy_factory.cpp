@@ -9,7 +9,6 @@
 #include "proxy/hashing_proxy.h"
 #include "proxy/hierarchical_proxy.h"
 #include "proxy/soap_proxy.h"
-#include "util/string_util.h"
 
 namespace adc::driver {
 namespace {
@@ -79,14 +78,6 @@ std::string_view scheme_name(Scheme scheme) noexcept {
     if (known == scheme) return name;
   }
   return "adc";
-}
-
-std::optional<Scheme> parse_scheme(std::string_view name) noexcept {
-  const std::string lowered = util::to_lower(name);
-  for (const auto& [known, scheme] : scheme_names()) {
-    if (known == lowered) return scheme;
-  }
-  return std::nullopt;
 }
 
 bool membership_supported(Scheme scheme) noexcept {

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -41,8 +40,6 @@ enum class Scheme {
 const std::vector<std::pair<std::string, Scheme>>& scheme_names();
 
 std::string_view scheme_name(Scheme scheme) noexcept;
-/// Looks `name` up in scheme_names() (case-insensitive).
-std::optional<Scheme> parse_scheme(std::string_view name) noexcept;
 
 /// True for the flat schemes whose proxies can run under a MemberAgent
 /// wrapper (the others have a topology fixed by construction — a hierarchy

@@ -6,7 +6,7 @@ namespace adc::fault {
 
 bool FaultPlan::is_zero() const noexcept {
   return drop_prob <= 0.0 && dup_prob <= 0.0 && extra_delay_prob <= 0.0 &&
-         reorder_prob <= 0.0 && partitions.empty() && crashes.empty();
+         partitions.empty() && crashes.empty();
 }
 
 std::string FaultPlan::describe() const {
@@ -17,7 +17,6 @@ std::string FaultPlan::describe() const {
   if (extra_delay_prob > 0.0) {
     out << "delay=" << extra_delay_prob << "x~Exp(" << extra_delay_mean << ") ";
   }
-  if (reorder_prob > 0.0) out << "reorder=" << reorder_prob << "/" << reorder_window << " ";
   if (!partitions.empty()) out << "partitions=" << partitions.size() << " ";
   if (!crashes.empty()) out << "crashes=" << crashes.size() << " ";
   out << "seed=" << seed;

@@ -48,15 +48,11 @@ struct FaultPlan {
   double dup_prob = 0.0;
 
   /// Per-transfer probability of extra latency, exponentially distributed
-  /// with mean `extra_delay_mean` (rounded to whole ticks, at least 1).
+  /// with mean `extra_delay_mean` (rounded to whole ticks, at least 1).  A
+  /// delayed message can overtake later sends, which is how reordering
+  /// shows in an in-order event queue.
   double extra_delay_prob = 0.0;
   double extra_delay_mean = 0.0;
-
-  /// Per-transfer probability of a uniform extra delay in
-  /// [1, reorder_window] — enough to overtake later sends, which is how
-  /// reordering manifests in an in-order event queue.
-  double reorder_prob = 0.0;
-  SimTime reorder_window = 0;
 
   std::vector<LinkPartition> partitions;
   std::vector<CrashWindow> crashes;

@@ -56,11 +56,6 @@ sim::FaultDecision FaultyNetwork::on_send(const sim::Message& msg, SimTime now) 
     auto ticks = static_cast<SimTime>(std::llround(drawn));
     fate.extra_delay += ticks < 1 ? 1 : ticks;
   }
-  if (plan_.reorder_prob > 0.0 && plan_.reorder_window > 0 &&
-      rng_.chance(plan_.reorder_prob)) {
-    ++counters_.delays;
-    fate.extra_delay += rng_.range(1, plan_.reorder_window);
-  }
   return fate;
 }
 

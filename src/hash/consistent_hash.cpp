@@ -8,22 +8,11 @@
 namespace adc::hash {
 
 void ConsistentHashRing::add_member(NodeId node, std::string_view name) {
-  assert(member_names_.find(node) == member_names_.end());
-  member_names_.emplace(node, std::string(name));
+  ++members_;
   for (int replica = 0; replica < vnodes_; ++replica) {
     const std::string point_name = std::string(name) + "#" + std::to_string(replica);
     ring_.emplace(Md5::digest64(point_name), node);
   }
-}
-
-void ConsistentHashRing::remove_member(NodeId node) {
-  const auto it = member_names_.find(node);
-  if (it == member_names_.end()) return;
-  for (int replica = 0; replica < vnodes_; ++replica) {
-    const std::string point_name = it->second + "#" + std::to_string(replica);
-    ring_.erase(Md5::digest64(point_name));
-  }
-  member_names_.erase(it);
 }
 
 NodeId ConsistentHashRing::owner(ObjectId oid) const noexcept {

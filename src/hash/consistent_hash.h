@@ -19,9 +19,8 @@ class ConsistentHashRing {
   explicit ConsistentHashRing(int vnodes = 64) : vnodes_(vnodes) {}
 
   void add_member(NodeId node, std::string_view name);
-  void remove_member(NodeId node);
 
-  std::size_t member_count() const noexcept { return member_names_.size(); }
+  std::size_t member_count() const noexcept { return members_; }
   bool empty() const noexcept { return ring_.empty(); }
 
   /// Owner of an object id: first ring point clockwise from hash(oid).
@@ -33,7 +32,7 @@ class ConsistentHashRing {
  private:
   int vnodes_;
   std::map<std::uint64_t, NodeId> ring_;
-  std::map<NodeId, std::string> member_names_;
+  std::size_t members_ = 0;
 };
 
 }  // namespace adc::hash

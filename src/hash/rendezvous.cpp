@@ -1,6 +1,5 @@
 #include "hash/rendezvous.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -12,12 +11,6 @@ namespace adc::hash {
 void RendezvousHash::add_member(NodeId node, std::string_view name, double weight) {
   assert(weight > 0.0);
   members_.push_back(Member{node, Md5::digest64(name), weight});
-}
-
-void RendezvousHash::remove_member(NodeId node) {
-  members_.erase(std::remove_if(members_.begin(), members_.end(),
-                                [node](const Member& m) { return m.node == node; }),
-                 members_.end());
 }
 
 NodeId RendezvousHash::owner(ObjectId oid) const noexcept {

@@ -22,7 +22,6 @@ class RendezvousHash {
   };
 
   void add_member(NodeId node, std::string_view name, double weight = 1.0);
-  void remove_member(NodeId node);
 
   std::size_t member_count() const noexcept { return members_.size(); }
   bool empty() const noexcept { return members_.empty(); }

@@ -6,6 +6,9 @@ namespace adc::membership {
 
 namespace {
 
+/// Max resolver opinions offered to each peer per repair round.
+constexpr std::size_t kRepairBatch = 64;
+
 SwimConfig derive_swim_config(SwimConfig swim, NodeId self) {
   // Same per-node derivation the daemon uses for its I/O rng: distinct
   // private streams per member, all reproducible from one base seed.
@@ -46,7 +49,7 @@ void MemberAgent::tick(sim::Transport& net, SimTime now) {
   store::ErasureTier* tier = inner_->erasure_tier();
   if (repair_.next_round(now)) {
     for (const NodeId peer : detector_.alive_peers()) {
-      inner_->send_repair(net, peer, config_.repair.batch);
+      inner_->send_repair(net, peer, kRepairBatch);
     }
     if (tier != nullptr) tier->restripe_round(net);
   }

@@ -25,9 +25,6 @@ struct RepairConfig {
   /// partition heal — which surfaces as a burst of rejoin transitions —
   /// buys enough rounds to reconverge even when single offers collide.
   std::uint32_t rounds_per_transition = 3;
-
-  /// Max resolver opinions offered to each peer per round.
-  std::size_t batch = 64;
 };
 
 /// Decides *when* a repair round fires; the owner decides what a round

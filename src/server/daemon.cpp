@@ -72,6 +72,12 @@ std::string DaemonConfig::validate() const {
     return "--restripe 1 needs --membership 1 (deaths come from SWIM)";
   }
   if (role != DaemonRole::kOrigin && origin_id < 0) return "proxies need --origin";
+  if (role == DaemonRole::kCarpProxy && carp_cache_capacity == 0) {
+    return "--cache-capacity must be at least 1 for --role carp";
+  }
+  if (role == DaemonRole::kAdcProxy && !adc.selective_caching && adc.caching_table_size == 0) {
+    return "--caching must be at least 1 with selective caching off";
+  }
   return {};
 }
 

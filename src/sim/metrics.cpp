@@ -201,15 +201,4 @@ void MetricsCollector::on_request_completed(bool proxy_hit, int hops, SimTime la
   }
 }
 
-void MetricsCollector::reset() {
-  const std::size_t window = hit_ma_.window();
-  summary_ = MetricsSummary{};
-  hit_ma_ = MovingAverage(window);
-  hops_ma_ = MovingAverage(window);
-  latency_ma_ = MovingAverage(window);
-  hops_hist_ = IntHistogram();
-  latency_pt_.clear();
-  series_.clear();
-}
-
 }  // namespace adc::sim

@@ -294,10 +294,6 @@ class MetricsCollector {
   /// semantics with the live runtime's load generator).
   const PercentileTracker& latency_tracker() const noexcept { return latency_pt_; }
 
-  /// Resets counters (summary + series + windows), e.g. to exclude a warmup
-  /// phase from the reported totals.
-  void reset();
-
  private:
   MetricsSummary summary_;
   MovingAverage hit_ma_;

@@ -14,6 +14,16 @@ constexpr double kTwoPi = 6.283185307179586476925286766559;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
+// Object sizes.  Lognormal body exp(N(kLogMean, kLogSigma)): Polygraph's
+// "most objects are small" component, median ~4.9 KB.  With probability
+// kTailProb the size comes instead from a Pareto(kTailAlpha) tail starting
+// at the lognormal's ~84th percentile: the heavy tail that makes byte hit
+// rate diverge from request hit rate.
+constexpr double kLogMean = 8.5;
+constexpr double kLogSigma = 1.2;
+constexpr double kTailProb = 0.07;
+constexpr double kTailAlpha = 1.3;
+
 std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* bytes, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     h ^= bytes[i];
@@ -68,14 +78,14 @@ std::uint64_t PayloadStore::size_of(ObjectId object) const {
   const double ub = (static_cast<double>(u_b) + 0.5) * inv;
 
   double size;
-  if (static_cast<double>(u_tail) * inv < config_.tail_prob) {
+  if (static_cast<double>(u_tail) * inv < kTailProb) {
     // Pareto tail anchored at the lognormal's ~84th percentile.
-    const double x_m = std::exp(config_.log_mean + config_.log_sigma);
-    size = x_m * std::pow(1.0 - ua, -1.0 / config_.tail_alpha);
+    const double x_m = std::exp(kLogMean + kLogSigma);
+    size = x_m * std::pow(1.0 - ua, -1.0 / kTailAlpha);
   } else {
     // Lognormal body via Box-Muller.
     const double z = std::sqrt(-2.0 * std::log(ua)) * std::cos(kTwoPi * ub);
-    size = std::exp(config_.log_mean + config_.log_sigma * z);
+    size = std::exp(kLogMean + kLogSigma * z);
   }
   const double clamped = std::min(static_cast<double>(config_.max_bytes),
                                   std::max(static_cast<double>(config_.min_bytes), size));

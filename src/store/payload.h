@@ -70,21 +70,9 @@ struct PayloadConfig {
 
   std::uint64_t seed = 97;
 
-  /// Size clamp in bytes.
+  /// Size clamp in bytes; sizes are drawn by PayloadStore::size_of.
   std::uint64_t min_bytes = 128;
   std::uint64_t max_bytes = 256 * 1024;
-
-  /// Lognormal body: exp(N(log_mean, log_sigma)) — Polygraph's "most
-  /// objects are small" component (median ~4.9 KB with the defaults).
-  double log_mean = 8.5;
-  double log_sigma = 1.2;
-
-  /// Pareto tail mix: with probability tail_prob the size is drawn from a
-  /// Pareto(tail_alpha) starting at the lognormal's ~84th percentile, which
-  /// produces the heavy tail that makes byte hit rate diverge from request
-  /// hit rate.
-  double tail_prob = 0.07;
-  double tail_alpha = 1.3;
 
   /// Per-proxy cache byte budget.  0 keeps the count-only capacity from the
   /// paper's configuration; > 0 additionally bounds total cached bytes

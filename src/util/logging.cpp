@@ -1,7 +1,6 @@
 #include "util/logging.h"
 
 #include <atomic>
-#include <cctype>
 #include <iostream>
 #include <mutex>
 
@@ -32,19 +31,6 @@ std::string_view log_level_name(LogLevel level) noexcept {
       return "off";
   }
   return "unknown";
-}
-
-LogLevel parse_log_level(std::string_view name) noexcept {
-  std::string lowered;
-  lowered.reserve(name.size());
-  for (char c : name) lowered.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lowered == "trace") return LogLevel::kTrace;
-  if (lowered == "debug") return LogLevel::kDebug;
-  if (lowered == "info") return LogLevel::kInfo;
-  if (lowered == "warn" || lowered == "warning") return LogLevel::kWarn;
-  if (lowered == "error") return LogLevel::kError;
-  if (lowered == "off" || lowered == "none") return LogLevel::kOff;
-  return LogLevel::kInfo;
 }
 
 void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }

@@ -25,9 +25,6 @@ enum class LogLevel : int {
 /// Returns the canonical lower-case name of a level ("trace", "info", ...).
 std::string_view log_level_name(LogLevel level) noexcept;
 
-/// Parses a level name (case-insensitive); returns kInfo on unknown input.
-LogLevel parse_log_level(std::string_view name) noexcept;
-
 /// Global minimum level; messages below it are discarded.
 void set_log_level(LogLevel level) noexcept;
 LogLevel log_level() noexcept;

@@ -21,20 +21,6 @@ std::string_view trim(std::string_view s) noexcept {
   return s.substr(begin, end - begin);
 }
 
-std::vector<std::string_view> split(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::vector<std::string_view> split_whitespace(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t i = 0;
@@ -44,13 +30,6 @@ std::vector<std::string_view> split_whitespace(std::string_view s) {
     while (i < s.size() && !is_space(s[i])) ++i;
     if (i > start) out.push_back(s.substr(start, i - start));
   }
-  return out;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   return out;
 }
 
@@ -93,13 +72,6 @@ std::optional<double> parse_double(std::string_view s) noexcept {
   return value;
 }
 
-std::optional<bool> parse_bool(std::string_view s) noexcept {
-  const std::string lowered = to_lower(trim(s));
-  if (lowered == "1" || lowered == "true" || lowered == "yes" || lowered == "on") return true;
-  if (lowered == "0" || lowered == "false" || lowered == "no" || lowered == "off") return false;
-  return std::nullopt;
-}
-
 std::optional<std::uint64_t> parse_size(std::string_view s) noexcept {
   s = trim(s);
   if (s.empty()) return std::nullopt;
@@ -126,15 +98,6 @@ std::string with_thousands(std::uint64_t value) {
   for (std::size_t i = 0; i < digits.size(); ++i) {
     if (i != 0 && (i - lead) % 3 == 0 && i >= lead) out.push_back(',');
     out.push_back(digits[i]);
-  }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out.append(sep);
-    out.append(items[i]);
   }
   return out;
 }

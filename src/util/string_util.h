@@ -12,14 +12,8 @@ namespace adc::util {
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s) noexcept;
 
-/// Splits on a delimiter; empty fields are preserved ("a,,b" -> 3 fields).
-std::vector<std::string_view> split(std::string_view s, char delim);
-
 /// Splits on arbitrary runs of ASCII whitespace; no empty fields.
 std::vector<std::string_view> split_whitespace(std::string_view s);
-
-/// Lower-cases ASCII characters.
-std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 bool ends_with(std::string_view s, std::string_view suffix) noexcept;
@@ -29,15 +23,11 @@ bool ends_with(std::string_view s, std::string_view suffix) noexcept;
 std::optional<std::int64_t> parse_int(std::string_view s) noexcept;
 std::optional<std::uint64_t> parse_uint(std::string_view s) noexcept;
 std::optional<double> parse_double(std::string_view s) noexcept;
-std::optional<bool> parse_bool(std::string_view s) noexcept;
 
 /// Parses a size with optional k/m/g suffix (powers of 1000): "20k" -> 20000.
 std::optional<std::uint64_t> parse_size(std::string_view s) noexcept;
 
 /// "1234567" -> "1,234,567" (for human-readable reports).
 std::string with_thousands(std::uint64_t value);
-
-/// Joins items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 }  // namespace adc::util

@@ -7,7 +7,6 @@
 #include "hash/carp.h"
 #include "hash/consistent_hash.h"
 #include "hash/rendezvous.h"
-#include "util/string_util.h"
 
 namespace adc::workload {
 namespace {
@@ -55,11 +54,14 @@ class OwnerOracle {
 };
 
 /// Benign background sampler shared by the flood and flash-crowd traces:
-/// Zipf(alpha) popularity over ids [1, universe].
+/// Zipf(kZipfAlpha) popularity over ids [1, universe].
 class BenignStream {
  public:
-  BenignStream(std::uint64_t universe, double alpha)
-      : universe_(universe < 1 ? 1 : universe), zipf_(static_cast<std::size_t>(universe_), alpha) {}
+  static constexpr double kZipfAlpha = 1.1;
+
+  explicit BenignStream(std::uint64_t universe)
+      : universe_(universe < 1 ? 1 : universe),
+        zipf_(static_cast<std::size_t>(universe_), kZipfAlpha) {}
 
   ObjectId sample(util::Rng& rng) const {
     return static_cast<ObjectId>(zipf_.sample(rng));  // rank r -> object r
@@ -90,14 +92,6 @@ std::string_view flood_scheme_name(FloodScheme scheme) noexcept {
   return "carp";
 }
 
-std::optional<FloodScheme> parse_flood_scheme(std::string_view name) noexcept {
-  const std::string lowered = util::to_lower(name);
-  for (const auto& [known, scheme] : flood_scheme_names()) {
-    if (known == lowered) return scheme;
-  }
-  return std::nullopt;
-}
-
 int flood_owner_of(FloodScheme scheme, int proxies, ObjectId object) {
   return OwnerOracle(scheme, proxies).owner(object);
 }
@@ -117,7 +111,7 @@ std::vector<ObjectId> mine_colliding_keys(const HashFloodConfig& config) {
 
 Trace generate_hash_flood_trace(const HashFloodConfig& config) {
   const std::vector<ObjectId> flood = mine_colliding_keys(config);
-  const BenignStream benign(config.benign_universe, config.benign_zipf_alpha);
+  const BenignStream benign(config.benign_universe);
   util::Rng rng(config.seed);
 
   std::vector<ObjectId> requests;
@@ -134,8 +128,11 @@ Trace generate_hash_flood_trace(const HashFloodConfig& config) {
 }
 
 Trace generate_flash_crowd_trace(const FlashCrowdConfig& config) {
+  // Chance a benign request introduces a brand-new object instead of
+  // re-requesting from the hot set.
+  constexpr double kBenignNewFraction = 0.1;
   assert(config.crowd_objects >= 1);
-  const BenignStream benign(config.benign_universe, config.benign_zipf_alpha);
+  const BenignStream benign(config.benign_universe);
   util::Rng rng(config.seed);
 
   const double n = static_cast<double>(config.requests);
@@ -155,7 +152,7 @@ Trace generate_flash_crowd_trace(const FlashCrowdConfig& config) {
     }
     if (rng.chance(crowd_share)) {
       requests.push_back(kCrowdObjectBase + rng.below(config.crowd_objects));
-    } else if (rng.chance(config.benign_new_fraction)) {
+    } else if (rng.chance(kBenignNewFraction)) {
       requests.push_back(next_new++);
     } else {
       requests.push_back(benign.sample(rng));
@@ -166,6 +163,9 @@ Trace generate_flash_crowd_trace(const FlashCrowdConfig& config) {
 }
 
 namespace {
+
+/// Ids in each diurnal population's band.
+constexpr std::uint64_t kPopulationSize = 10'000;
 
 /// Raised-cosine day weight of population `r` at trace position `frac`
 /// (in [0,1]): peaks once per cycle, phase-shifted so populations take
@@ -183,9 +183,7 @@ double diurnal_weight(const DiurnalConfig& config, std::uint64_t r, double frac)
 
 Trace generate_diurnal_trace(const DiurnalConfig& config) {
   assert(config.populations >= 1);
-  assert(config.population_size >= 1);
-  const util::ZipfSampler zipf(static_cast<std::size_t>(config.population_size),
-                               config.zipf_alpha);
+  const util::ZipfSampler zipf(static_cast<std::size_t>(kPopulationSize), config.zipf_alpha);
   util::Rng rng(config.seed);
 
   std::vector<double> weights(static_cast<std::size_t>(config.populations));
@@ -207,8 +205,8 @@ Trace generate_diurnal_trace(const DiurnalConfig& config) {
         break;
       }
     }
-    const auto rank = static_cast<ObjectId>(zipf.sample(rng));  // [1, population_size]
-    requests.push_back(population * config.population_size + rank);
+    const auto rank = static_cast<ObjectId>(zipf.sample(rng));  // [1, kPopulationSize]
+    requests.push_back(population * kPopulationSize + rank);
   }
   const std::uint64_t size = requests.size();
   return Trace(std::move(requests), TracePhases{0, size});
@@ -223,7 +221,7 @@ std::vector<std::uint64_t> diurnal_population_counts(const DiurnalConfig& config
     const ObjectId object = trace[i];
     // Band r covers (r*size, (r+1)*size]; ids outside every band land in
     // the trailing slot.
-    const std::uint64_t band = object == 0 ? config.populations : (object - 1) / config.population_size;
+    const std::uint64_t band = object == 0 ? config.populations : (object - 1) / kPopulationSize;
     if (band < config.populations) {
       ++counts[static_cast<std::size_t>(band)];
     } else {

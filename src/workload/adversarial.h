@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,8 +51,6 @@ enum class FloodScheme : std::uint8_t {
 const std::vector<std::pair<std::string, FloodScheme>>& flood_scheme_names();
 
 std::string_view flood_scheme_name(FloodScheme scheme) noexcept;
-/// Looks `name` up in flood_scheme_names() (case-insensitive).
-std::optional<FloodScheme> parse_flood_scheme(std::string_view name) noexcept;
 
 /// First object id of the mined-key candidate range.  Kept far above any
 /// id Polygraph/WPB/the benign streams assign, so flood keys never alias a
@@ -84,10 +81,9 @@ struct HashFloodConfig {
   /// rest is benign Zipf background traffic.
   double flood_fraction = 0.8;
 
-  /// Benign background: Zipf(alpha) popularity over object ids
+  /// Benign background: Zipf(1.1) popularity over object ids
   /// [1, benign_universe].
   std::uint64_t benign_universe = 30'000;
-  double benign_zipf_alpha = 1.1;
 
   std::uint64_t seed = 7;
 };
@@ -123,13 +119,10 @@ struct FlashCrowdConfig {
   /// Crowd URLs sharing the ramp (1 = the classic single-URL crowd).
   std::uint64_t crowd_objects = 1;
 
-  /// Benign background stream (same shape as the flood generator's).
+  /// Benign background stream (same shape as the flood generator's), in
+  /// which a tenth of the requests introduce a brand-new object (the
+  /// one-timer stream).
   std::uint64_t benign_universe = 30'000;
-  double benign_zipf_alpha = 1.1;
-
-  /// Chance a benign request introduces a brand-new object instead of
-  /// re-requesting from the hot set (the one-timer stream).
-  double benign_new_fraction = 0.1;
 
   std::uint64_t seed = 11;
 };
@@ -141,9 +134,8 @@ struct DiurnalConfig {
   std::uint64_t requests = 200'000;
 
   /// Rotating regional hot sets ("timezones"); each owns a disjoint
-  /// object-id band of `population_size` ids.
+  /// object-id band of 10,000 ids.
   std::uint64_t populations = 2;
-  std::uint64_t population_size = 10'000;
 
   /// Full day cycles across the trace.
   double cycles = 2.0;

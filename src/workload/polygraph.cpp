@@ -60,8 +60,12 @@ Trace generate_polygraph_trace(const PolygraphConfig& config) {
   const util::ZipfSampler zipf(hot_objects.size(), config.zipf_alpha);
 
   // --- Phase 2: request phase I -------------------------------------------
+  // A quarter of its requests introduce a brand-new object instead of
+  // re-requesting a hot one: the "one-timer" stream that pollutes admit-all
+  // LRU caches.
+  constexpr double kPhase2NewFraction = 0.25;
   for (std::uint64_t i = 0; i < config.phase2_requests; ++i) {
-    if (rng.chance(config.phase2_new_fraction)) {
+    if (rng.chance(kPhase2NewFraction)) {
       requests.push_back(introduce());
     } else {
       const std::size_t rank = zipf.sample(rng);

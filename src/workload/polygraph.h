@@ -45,11 +45,6 @@ struct PolygraphConfig {
   /// (Polygraph's fill phase has a small recurrence ratio).
   double fill_recurrence = 0.02;
 
-  /// Probability that a phase-2 request introduces a brand-new object
-  /// rather than re-requesting a hot one (the "one-timer" stream that
-  /// pollutes admit-all LRU caches).
-  double phase2_new_fraction = 0.25;
-
   std::uint64_t seed = 42;
 
   /// The paper-scale configuration (~3.99M requests).

@@ -2,23 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <string_view>
+
 namespace adc::cache {
 namespace {
 
+std::optional<Policy> named(std::string_view name) {
+  for (const auto& [known, policy] : policy_names()) {
+    if (known == name) return policy;
+  }
+  return std::nullopt;
+}
+
 TEST(PolicyNames, ParseAndPrint) {
-  EXPECT_EQ(parse_policy("lru"), Policy::kLru);
-  EXPECT_EQ(parse_policy("LRU"), Policy::kLru);
-  EXPECT_EQ(parse_policy("fifo"), Policy::kFifo);
-  EXPECT_EQ(parse_policy("lfu"), Policy::kLfu);
-  EXPECT_EQ(parse_policy("unknown"), Policy::kLru);
+  EXPECT_EQ(named("lru"), Policy::kLru);
+  EXPECT_EQ(named("fifo"), Policy::kFifo);
+  EXPECT_EQ(named("lfu"), Policy::kLfu);
+  EXPECT_FALSE(named("unknown").has_value());
   EXPECT_EQ(policy_name(Policy::kLru), "lru");
   EXPECT_EQ(policy_name(Policy::kFifo), "fifo");
   EXPECT_EQ(policy_name(Policy::kLfu), "lfu");
   EXPECT_EQ(policy_name(Policy::kGdsf), "gdsf");
   EXPECT_EQ(policy_name(Policy::kSizeLru), "size-lru");
-  EXPECT_EQ(parse_policy("GDSF"), Policy::kGdsf);
-  EXPECT_EQ(parse_policy("sizelru"), Policy::kSizeLru);
-  EXPECT_EQ(parse_policy("size_lru"), Policy::kSizeLru);
+  EXPECT_EQ(named("gdsf"), Policy::kGdsf);
+  EXPECT_EQ(named("sizelru"), Policy::kSizeLru);
+  EXPECT_EQ(named("size_lru"), Policy::kSizeLru);
+}
+
+// A cache of capacity 0 would hold every object it is given; the check
+// holds in release builds too.
+TEST(MakeCache, ZeroCapacityThrows) {
+  for (const Policy policy :
+       {Policy::kLru, Policy::kFifo, Policy::kLfu, Policy::kGdsf, Policy::kSizeLru}) {
+    EXPECT_THROW(make_cache(0, policy), std::invalid_argument) << policy_name(policy);
+    EXPECT_THROW(make_sized_cache(0, policy, 1000, nullptr), std::invalid_argument)
+        << policy_name(policy);
+  }
 }
 
 class CachePolicyTest : public ::testing::TestWithParam<Policy> {

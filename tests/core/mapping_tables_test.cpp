@@ -340,14 +340,15 @@ TEST(MappingTables, RepairLocationLeavesUnknownAndCachedObjectsAlone) {
   EXPECT_EQ(tables.caching().find(1)->location, kSelf);
 }
 
+// AdcProxy stamps a claim through the entry one lookup returns.
 TEST(MappingTables, StampClaimRaisesInPlaceAndNeverLowers) {
   MappingTables tables(small_config());
   tables.update_entry(1, kPeer, 10, std::nullopt, /*claim=*/5);
-  tables.stamp_claim(1, 8);
+  tables.locate(1).entry->raise_claim(8);
   EXPECT_EQ(tables.claim_of(1), 8u);
-  tables.stamp_claim(1, 3);  // lower: ignored
+  tables.locate(1).entry->raise_claim(3);  // lower: ignored
   EXPECT_EQ(tables.claim_of(1), 8u);
-  tables.stamp_claim(99, 8);  // unknown: no-op, no crash
+  EXPECT_EQ(tables.locate(99).entry, nullptr);
   EXPECT_EQ(tables.claim_of(99), 0u);
   // No reordering happened: still a single-table entry with one hit.
   ASSERT_TRUE(tables.single().contains(1));
@@ -464,8 +465,10 @@ void random_step(TablePair& p, util::Rng& rng, SimTime& now, ObjectId universe, 
               p.indexed.repair_location(object, location, claim))
         << "step " << step;
   } else if (roll < 99) {
-    p.faithful.stamp_claim(object, claim);
-    p.indexed.stamp_claim(object, claim);
+    // The claim stamp AdcProxy makes through a located entry.
+    for (MappingTables* tables : {&p.faithful, &p.indexed}) {
+      if (cache::TableEntry* e = tables->locate(object).entry) e->raise_claim(claim);
+    }
   } else if (rng.below(4) == 0) {
     p.faithful.clear();
     p.indexed.clear();

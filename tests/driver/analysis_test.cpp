@@ -134,35 +134,6 @@ TEST_F(AnalysisEndToEnd, ContentsNotCollectedByDefault) {
   for (const auto& proxy : result.proxies) EXPECT_TRUE(proxy.cached_ids.empty());
 }
 
-TEST_F(AnalysisEndToEnd, RunSeedsAggregatesDeterministically) {
-  const auto t = trace();
-  const auto summary = run_seeds(config(Scheme::kAdc), t, {1, 2, 3, 4});
-  EXPECT_EQ(summary.runs, 4u);
-  EXPECT_GT(summary.hit_rate_mean, 0.0);
-  EXPECT_LT(summary.hit_rate_mean, 1.0);
-  EXPECT_GE(summary.hit_rate_sd, 0.0);
-  EXPECT_GT(summary.hops_mean, 2.0);
-  // Same seed list twice: identical aggregates (everything deterministic).
-  const auto again = run_seeds(config(Scheme::kAdc), t, {1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(summary.hit_rate_mean, again.hit_rate_mean);
-  EXPECT_DOUBLE_EQ(summary.hit_rate_sd, again.hit_rate_sd);
-}
-
-TEST_F(AnalysisEndToEnd, RunSeedsSingleSeedHasZeroSd) {
-  const auto t = trace();
-  const auto summary = run_seeds(config(Scheme::kCarp), t, {7});
-  EXPECT_EQ(summary.runs, 1u);
-  EXPECT_EQ(summary.hit_rate_sd, 0.0);
-  EXPECT_EQ(summary.hops_sd, 0.0);
-}
-
-TEST_F(AnalysisEndToEnd, RunSeedsEmptyIsZeros) {
-  const auto t = trace();
-  const auto summary = run_seeds(config(Scheme::kAdc), t, {});
-  EXPECT_EQ(summary.runs, 0u);
-  EXPECT_EQ(summary.hit_rate_mean, 0.0);
-}
-
 TEST_F(AnalysisEndToEnd, LoadBalanceFromRealRunIsReasonable) {
   const auto t = trace();
   const auto result = run_experiment(config(Scheme::kAdc), t);

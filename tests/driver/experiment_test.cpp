@@ -32,11 +32,18 @@ ExperimentConfig small_config(Scheme scheme) {
   return config;
 }
 
+std::optional<Scheme> named(std::string_view name) {
+  for (const auto& [known, scheme] : scheme_names()) {
+    if (known == name) return scheme;
+  }
+  return std::nullopt;
+}
+
 TEST(SchemeNames, RoundTrip) {
   for (const Scheme scheme :
        {Scheme::kAdc, Scheme::kCarp, Scheme::kConsistent, Scheme::kRendezvous,
         Scheme::kHierarchical, Scheme::kCoordinator, Scheme::kSoap}) {
-    const auto parsed = parse_scheme(scheme_name(scheme));
+    const auto parsed = named(scheme_name(scheme));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, scheme);
   }
@@ -53,13 +60,12 @@ TEST(SchemeNames, CanonicalNames) {
 }
 
 TEST(SchemeNames, Aliases) {
-  EXPECT_EQ(parse_scheme("hash"), Scheme::kCarp);
-  EXPECT_EQ(parse_scheme("ring"), Scheme::kConsistent);
-  EXPECT_EQ(parse_scheme("hrw"), Scheme::kRendezvous);
-  EXPECT_EQ(parse_scheme("hier"), Scheme::kHierarchical);
-  EXPECT_EQ(parse_scheme("central"), Scheme::kCoordinator);
-  EXPECT_EQ(parse_scheme("ADC"), Scheme::kAdc);
-  EXPECT_FALSE(parse_scheme("nonsense").has_value());
+  EXPECT_EQ(named("hash"), Scheme::kCarp);
+  EXPECT_EQ(named("ring"), Scheme::kConsistent);
+  EXPECT_EQ(named("hrw"), Scheme::kRendezvous);
+  EXPECT_EQ(named("hier"), Scheme::kHierarchical);
+  EXPECT_EQ(named("central"), Scheme::kCoordinator);
+  EXPECT_FALSE(named("nonsense").has_value());
 }
 
 class AllSchemesTest : public ::testing::TestWithParam<Scheme> {};
@@ -319,6 +325,27 @@ TEST(ExperimentValidate, RejectsRepairMaxAttemptsOutsideItsRange) {
                                      std::to_string(attempts));
     EXPECT_THROW(run_experiment(config, small_trace()), std::invalid_argument);
   }
+}
+
+// A cache of capacity 0 would hold every object it is given.
+TEST(ExperimentValidate, RejectsZeroCacheCapacity) {
+  ExperimentConfig carp = small_config(Scheme::kCarp);
+  carp.baseline_cache_capacity = 0;
+  carp.adc.caching_table_size = 0;
+  EXPECT_EQ(carp.validate(),
+            "baseline_cache_capacity and adc.caching_table_size are both 0: a carp proxy needs "
+            "a cache of at least 1 object");
+  EXPECT_THROW(run_experiment(carp, small_trace()), std::invalid_argument);
+  carp.baseline_cache_capacity = 1;
+  EXPECT_EQ(carp.validate(), "");
+
+  ExperimentConfig adc = small_config(Scheme::kAdc);
+  adc.adc.caching_table_size = 0;  // selective caching: no caching table
+  EXPECT_EQ(adc.validate(), "");
+  adc.adc.selective_caching = false;
+  EXPECT_EQ(adc.validate(),
+            "adc.caching_table_size must be at least 1 with adc.selective_caching off");
+  EXPECT_THROW(run_experiment(adc, small_trace()), std::invalid_argument);
 }
 
 TEST(ExperimentValidate, RejectsEmptyDeploymentAndShortLoadFactors) {

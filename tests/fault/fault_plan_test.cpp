@@ -34,10 +34,6 @@ TEST(FaultPlan, AnyProbabilityMakesPlanNonZero) {
   FaultPlan delay;
   delay.extra_delay_prob = 0.01;
   EXPECT_FALSE(delay.is_zero());
-
-  FaultPlan reorder;
-  reorder.reorder_prob = 0.01;
-  EXPECT_FALSE(reorder.is_zero());
 }
 
 TEST(FaultPlan, WindowsMakePlanNonZero) {

@@ -143,6 +143,20 @@ TEST(DaemonConfigValidate, ProxyRolesNeedAnOrigin) {
   }
 }
 
+// A cache of capacity 0 would hold every object it is given.
+TEST(DaemonConfigValidate, ZeroCacheCapacity) {
+  DaemonConfig carp = daemon_config(DaemonRole::kCarpProxy);
+  carp.carp_cache_capacity = 0;
+  EXPECT_EQ(carp.validate(), "--cache-capacity must be at least 1 for --role carp");
+  DaemonConfig adc = daemon_config(DaemonRole::kAdcProxy);
+  adc.carp_cache_capacity = 0;  // unused by an ADC proxy
+  EXPECT_EQ(adc.validate(), "");
+  adc.adc.caching_table_size = 0;  // selective caching: no caching table
+  EXPECT_EQ(adc.validate(), "");
+  adc.adc.selective_caching = false;
+  EXPECT_EQ(adc.validate(), "--caching must be at least 1 with selective caching off");
+}
+
 TEST(DaemonConfigValidate, NodeDaemonRefusesAnInvalidConfig) {
   DaemonConfig config = daemon_config(DaemonRole::kCarpProxy);
   config.payload.erasure.enabled = true;

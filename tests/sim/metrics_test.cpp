@@ -170,19 +170,6 @@ TEST(Metrics, HopHistogramTracksRequests) {
   EXPECT_EQ(metrics.hop_histogram().percentile(0.5), 6);
 }
 
-TEST(Metrics, ResetClearsEverything) {
-  MetricsCollector metrics(4, 1);
-  metrics.on_request_completed(true, 3, 7);
-  metrics.reset();
-  EXPECT_EQ(metrics.summary().completed, 0u);
-  EXPECT_TRUE(metrics.series().empty());
-  EXPECT_EQ(metrics.moving_hit_rate(), 0.0);
-  EXPECT_EQ(metrics.hop_histogram().total(), 0u);
-  // Window width survives the reset.
-  metrics.on_request_completed(true, 3, 7);
-  EXPECT_EQ(metrics.summary().completed, 1u);
-}
-
 TEST(PercentileTracker, EmptyIsZero) {
   PercentileTracker tracker;
   EXPECT_EQ(tracker.percentile(0.5), 0.0);
@@ -398,8 +385,6 @@ TEST(MetricsCollector, LatencyTrackerFollowsCompletions) {
   metrics.on_request_completed(true, 4, 10);
   EXPECT_EQ(metrics.latency_tracker().count(), 3u);
   EXPECT_EQ(metrics.latency_tracker().percentile(0.5), 10.0);
-  metrics.reset();
-  EXPECT_EQ(metrics.latency_tracker().count(), 0u);
 }
 
 }  // namespace

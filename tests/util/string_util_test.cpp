@@ -15,32 +15,6 @@ TEST(Trim, Basics) {
   EXPECT_EQ(trim(" a b "), "a b");
 }
 
-TEST(Split, PreservesEmptyFields) {
-  const auto fields = split("a,,b", ',');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[2], "b");
-}
-
-TEST(Split, SingleField) {
-  const auto fields = split("abc", ',');
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "abc");
-}
-
-TEST(Split, TrailingDelimiter) {
-  const auto fields = split("a,b,", ',');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[2], "");
-}
-
-TEST(Split, EmptyInput) {
-  const auto fields = split("", ',');
-  ASSERT_EQ(fields.size(), 1u);
-  EXPECT_EQ(fields[0], "");
-}
-
 TEST(SplitWhitespace, CollapsesRuns) {
   const auto fields = split_whitespace("  a \t b\n\nc  ");
   ASSERT_EQ(fields.size(), 3u);
@@ -52,11 +26,6 @@ TEST(SplitWhitespace, CollapsesRuns) {
 TEST(SplitWhitespace, EmptyAndBlank) {
   EXPECT_TRUE(split_whitespace("").empty());
   EXPECT_TRUE(split_whitespace("   \t\n").empty());
-}
-
-TEST(ToLower, Ascii) {
-  EXPECT_EQ(to_lower("AbC-123"), "abc-123");
-  EXPECT_EQ(to_lower(""), "");
 }
 
 TEST(StartsEndsWith, Basics) {
@@ -101,17 +70,6 @@ TEST(ParseDouble, Invalid) {
   EXPECT_FALSE(parse_double("1.2.3").has_value());
 }
 
-TEST(ParseBool, Variants) {
-  for (const char* t : {"1", "true", "TRUE", "yes", "on", "On"}) {
-    EXPECT_EQ(parse_bool(t), true) << t;
-  }
-  for (const char* f : {"0", "false", "no", "off", "OFF"}) {
-    EXPECT_EQ(parse_bool(f), false) << f;
-  }
-  EXPECT_FALSE(parse_bool("maybe").has_value());
-  EXPECT_FALSE(parse_bool("").has_value());
-}
-
 TEST(ParseSize, Suffixes) {
   EXPECT_EQ(parse_size("20k"), 20000u);
   EXPECT_EQ(parse_size("20K"), 20000u);
@@ -134,12 +92,6 @@ TEST(WithThousands, Grouping) {
   EXPECT_EQ(with_thousands(1000), "1,000");
   EXPECT_EQ(with_thousands(1234567), "1,234,567");
   EXPECT_EQ(with_thousands(3990000), "3,990,000");
-}
-
-TEST(Join, Basics) {
-  EXPECT_EQ(join({}, ", "), "");
-  EXPECT_EQ(join({"a"}, ", "), "a");
-  EXPECT_EQ(join({"a", "b", "c"}, "-"), "a-b-c");
 }
 
 }  // namespace

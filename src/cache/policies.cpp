@@ -27,50 +27,40 @@ class ListCache final : public CacheSet {
 
   std::size_t size() const noexcept override { return rows_.size(); }
   std::uint64_t bytes() const noexcept override { return bytes_; }
-  std::uint64_t byte_budget() const noexcept override { return budget_; }
 
   bool contains(ObjectId object) const noexcept override { return rows_.contains(object); }
 
-  void touch(ObjectId object) override {
-    if (!bump_on_touch_) return;
+  std::uint64_t version(ObjectId object) const noexcept override {
     const Slot slot = rows_.find(object);
-    if (slot != Rows::kNil) rows_.move_to_front(slot);
+    return slot == Rows::kNil ? 0 : rows_[slot].version;
   }
 
-  void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) override {
-    if (contains(object)) {
-      touch(object);
+  void touch(ObjectId object) override {
+    const Slot slot = rows_.find(object);
+    if (slot != Rows::kNil) bump(slot);
+  }
+
+  void insert(ObjectId object, std::uint64_t version,
+              std::vector<ObjectId>* evicted) override {
+    if (const Slot slot = rows_.find(object); slot != Rows::kNil) {
+      bump(slot);
+      rows_[slot].version = version;
       return;
     }
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
     if (budget_ > 0 && sz > budget_) return;  // can never fit
     while (!rows_.empty() &&
            (size() >= capacity() || (budget_ > 0 && bytes_ + sz > budget_))) {
-      evicted->push_back(evict(victim(rows_)));
+      const ObjectId victim_id = evict(victim(rows_));
+      if (evicted != nullptr) evicted->push_back(victim_id);
     }
-    rows_.push_front(Entry{object, sz});
+    rows_.push_front(Entry{object, sz, version});
     bytes_ += sz;
-  }
-
-  bool erase(ObjectId object) override {
-    const Slot slot = rows_.find(object);
-    if (slot == Rows::kNil) return false;
-    evict(slot);
-    return true;
   }
 
   void clear() override {
     rows_.clear();
     bytes_ = 0;
-  }
-
-  std::vector<ObjectId> set_byte_budget(std::uint64_t budget) override {
-    budget_ = budget;
-    std::vector<ObjectId> evicted;
-    while (budget_ > 0 && bytes_ > budget_ && !rows_.empty()) {
-      evicted.push_back(evict(victim(rows_)));
-    }
-    return evicted;
   }
 
   std::vector<ObjectId> eviction_order() const override {
@@ -91,6 +81,7 @@ class ListCache final : public CacheSet {
   struct Entry {
     ObjectId object;
     std::uint64_t size;
+    std::uint64_t version;
     std::uint64_t key() const noexcept { return object; }
   };
   using Rows = util::KeyedList<Entry>;
@@ -112,6 +103,11 @@ class ListCache final : public CacheSet {
       }
     }
     return victim;
+  }
+
+  /// A hit: the row moves to the front unless the policy is FIFO.
+  void bump(Slot slot) {
+    if (bump_on_touch_) rows_.move_to_front(slot);
   }
 
   ObjectId evict(Slot slot) {
@@ -142,42 +138,36 @@ class HeapCache final : public CacheSet {
 
   std::size_t size() const noexcept override { return rows_.size(); }
   std::uint64_t bytes() const noexcept override { return bytes_; }
-  std::uint64_t byte_budget() const noexcept override { return budget_; }
 
   bool contains(ObjectId object) const noexcept override { return rows_.contains(object); }
 
-  void touch(ObjectId object) override {
+  std::uint64_t version(ObjectId object) const noexcept override {
     const Slot slot = rows_.find(object);
-    if (slot == Rows::kNil) return;
-    Meta& meta = rows_[slot];
-    ++meta.freq;
-    Key& key = heap_[meta.heap_pos];
-    key.priority = priority_of(meta.freq, meta.size);
-    key.seq = next_seq_++;
-    util::heap_sift(heap_, meta.heap_pos, less, Placed{rows_});
+    return slot == Rows::kNil ? 0 : rows_[slot].version;
   }
 
-  void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) override {
-    if (contains(object)) {
-      touch(object);
+  void touch(ObjectId object) override {
+    const Slot slot = rows_.find(object);
+    if (slot != Rows::kNil) bump(slot);
+  }
+
+  void insert(ObjectId object, std::uint64_t version,
+              std::vector<ObjectId>* evicted) override {
+    if (const Slot slot = rows_.find(object); slot != Rows::kNil) {
+      bump(slot);
+      rows_[slot].version = version;
       return;
     }
     const std::uint64_t sz = size_fn_ ? size_fn_(object) : 1;
     if (budget_ > 0 && sz > budget_) return;
     while (!heap_.empty() &&
            (size() >= capacity() || (budget_ > 0 && bytes_ + sz > budget_))) {
-      evicted->push_back(evict_min());
+      const ObjectId victim = evict_min();
+      if (evicted != nullptr) evicted->push_back(victim);
     }
-    const Slot slot = rows_.push_back(Meta{object, 1, sz, 0});
+    const Slot slot = rows_.push_back(Meta{object, 1, sz, version, 0});
     util::heap_push(heap_, Key{priority_of(1, sz), next_seq_++, slot}, less, Placed{rows_});
     bytes_ += sz;
-  }
-
-  bool erase(ObjectId object) override {
-    const Slot slot = rows_.find(object);
-    if (slot == Rows::kNil) return false;
-    remove(slot);
-    return true;
   }
 
   void clear() override {
@@ -185,15 +175,6 @@ class HeapCache final : public CacheSet {
     heap_.clear();
     bytes_ = 0;
     // L_ deliberately survives clear(): GDSF's clock only moves forward.
-  }
-
-  std::vector<ObjectId> set_byte_budget(std::uint64_t budget) override {
-    budget_ = budget;
-    std::vector<ObjectId> evicted;
-    while (budget_ > 0 && bytes_ > budget_ && !heap_.empty()) {
-      evicted.push_back(evict_min());
-    }
-    return evicted;
   }
 
   std::vector<ObjectId> eviction_order() const override {
@@ -210,6 +191,7 @@ class HeapCache final : public CacheSet {
     ObjectId object;
     std::uint64_t freq;
     std::uint64_t size;
+    std::uint64_t version;
     std::size_t heap_pos;
     std::uint64_t key() const noexcept { return object; }
   };
@@ -239,19 +221,24 @@ class HeapCache final : public CacheSet {
     }
   };
 
-  /// Drops the row and its heap key.
-  void remove(Slot slot) {
-    const std::size_t pos = rows_[slot].heap_pos;
-    bytes_ -= rows_.erase(slot).size;
-    util::heap_erase(heap_, pos, less, Placed{rows_});
+  /// A hit: one more use raises the row's priority and renews its seq.
+  void bump(Slot slot) {
+    Meta& meta = rows_[slot];
+    ++meta.freq;
+    Key& key = heap_[meta.heap_pos];
+    key.priority = priority_of(meta.freq, meta.size);
+    key.seq = next_seq_++;
+    util::heap_sift(heap_, meta.heap_pos, less, Placed{rows_});
   }
 
+  /// Drops the minimum key and its row.
   ObjectId evict_min() {
     const Key& victim = heap_.front();
     if (gdsf_) inflation_ = std::max(inflation_, victim.priority);
-    const ObjectId object = rows_[victim.slot].object;
-    remove(victim.slot);
-    return object;
+    const Meta meta = rows_.erase(victim.slot);
+    bytes_ -= meta.size;
+    util::heap_erase(heap_, 0, less, Placed{rows_});
+    return meta.object;
   }
 
   bool gdsf_;

@@ -2,18 +2,18 @@
 //
 // The paper's hashing baseline caches with LRU; FIFO and LFU are provided
 // so the baseline-comparison ablation can show how sensitive the hashing
-// results are to the replacement policy.  The caches store object ids only
-// (the simulation never materializes payloads); when the payload store is
-// enabled (src/store) a size function and per-proxy byte budget turn them
-// into size-aware caches, and GDSF / size-aware LRU become available as
-// additional policies.
+// results are to the replacement policy.  The caches store object ids and
+// the data version each was stored with (the simulation never
+// materializes payloads; versions feed the staleness accounting of
+// sim/version.h).  When the payload store is enabled (src/store) a size
+// function and per-proxy byte budget turn them into size-aware caches, and
+// GDSF / size-aware LRU become available as additional policies.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -47,7 +47,9 @@ std::string_view policy_name(Policy policy) noexcept;
 /// lifetime of the cache).
 using SizeFn = std::function<std::uint64_t(ObjectId)>;
 
-/// A bounded set of cached object ids under some replacement policy.
+/// A bounded set of cached objects under some replacement policy.  Each
+/// object keeps the data version it was stored with, so a proxy answers a
+/// hit with that version and an eviction forgets it.
 class CacheSet {
  public:
   explicit CacheSet(std::size_t capacity) : capacity_(capacity) {}
@@ -58,57 +60,40 @@ class CacheSet {
 
   std::size_t capacity() const noexcept { return capacity_; }
   virtual std::size_t size() const noexcept = 0;
-  bool full() const noexcept { return size() >= capacity_; }
 
   virtual bool contains(ObjectId object) const noexcept = 0;
+
+  /// The version the object was stored with; 0 when it is absent.
+  virtual std::uint64_t version(ObjectId object) const noexcept = 0;
 
   /// Records a cache hit (LRU recency bump / LFU frequency bump).
   virtual void touch(ObjectId object) = 0;
 
-  /// Inserts an object, evicting per policy, and appends *every* object
-  /// evicted to admit it to `*evicted` (victim first).  Count-capacity
-  /// caches evict at most one; byte-budgeted caches may evict several to
-  /// make room for a large object (and may admit nothing when the object
-  /// alone exceeds the budget — check contains()).  Inserting a present
-  /// object behaves like touch().  Callers maintaining per-object side
-  /// state must use this form (or the returning one below); a reused
-  /// `evicted` vector keeps the call allocation-free.
-  virtual void insert_evicting(ObjectId object, std::vector<ObjectId>* evicted) = 0;
+  /// Inserts an object at `version`, evicting per policy, and appends
+  /// *every* object evicted to admit it to `*evicted` when given (victim
+  /// first).  Count-capacity caches evict at most one; byte-budgeted
+  /// caches may evict several to make room for a large object (and may
+  /// admit nothing when the object alone exceeds the budget — check
+  /// contains()).  Inserting a present object touches it and overwrites
+  /// its version.
+  virtual void insert(ObjectId object, std::uint64_t version,
+                      std::vector<ObjectId>* evicted = nullptr) = 0;
 
-  /// Same, returning the evicted objects.
+  /// Inserts an object at version 0, returning the evicted objects.
   std::vector<ObjectId> insert_evicting(ObjectId object) {
     std::vector<ObjectId> evicted;
-    insert_evicting(object, &evicted);
+    insert(object, 0, &evicted);
     return evicted;
   }
-
-  /// Inserts an object; returns the first object evicted, if any.
-  std::optional<ObjectId> insert(ObjectId object) {
-    const std::vector<ObjectId> evicted = insert_evicting(object);
-    if (evicted.empty()) return std::nullopt;
-    return evicted.front();
-  }
-
-  /// Removes a specific object; true if it was present.
-  virtual bool erase(ObjectId object) = 0;
 
   virtual void clear() = 0;
 
   /// Eviction-order snapshot, victim first (tests).
   virtual std::vector<ObjectId> eviction_order() const = 0;
 
-  // --- Byte accounting (size-aware caches; no-ops otherwise) -------------
-
   /// Total bytes of the cached objects (a count-only cache charges one
   /// byte per object).
   virtual std::uint64_t bytes() const noexcept = 0;
-
-  /// The byte budget (0 = unbounded bytes).
-  virtual std::uint64_t byte_budget() const noexcept = 0;
-
-  /// Re-budgets the cache, evicting per policy until the new budget fits;
-  /// returns the objects evicted by the transition (victim first).
-  virtual std::vector<ObjectId> set_byte_budget(std::uint64_t budget) = 0;
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

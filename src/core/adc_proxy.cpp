@@ -28,7 +28,6 @@ AdcProxy::AdcProxy(NodeId id, std::string name, const AdcConfig& config,
 void AdcProxy::flush() {
   tables_.clear();
   if (lru_cache_ != nullptr) lru_cache_->clear();
-  lru_versions_.clear();
 }
 
 void AdcProxy::enable_store(const store::StoreContext& ctx) {
@@ -50,10 +49,7 @@ void AdcProxy::warm_cache(ObjectId object, std::uint64_t version) {
     tables_.warm_cache(object, id(), local_time_, version);
     return;
   }
-  for (const ObjectId evicted : lru_cache_->insert_evicting(object)) {
-    lru_versions_.erase(evicted);
-  }
-  if (lru_cache_->contains(object)) lru_versions_[object] = version;
+  lru_cache_->insert(object, version);
 }
 
 void AdcProxy::on_peer_unreachable(NodeId peer) {
@@ -146,8 +142,7 @@ void AdcProxy::receive_opinion(sim::Transport& net, const Message& msg) {
 
 std::uint64_t AdcProxy::stored_version(ObjectId object, const Located& mine) const noexcept {
   if (config_.selective_caching) return mine.cached() ? mine.entry->version : 0;
-  const auto it = lru_versions_.find(object);
-  return it == lru_versions_.end() ? 0 : it->second;
+  return lru_cache_->version(object);
 }
 
 bool AdcProxy::is_locally_cached(ObjectId object) const noexcept {
@@ -361,10 +356,7 @@ void AdcProxy::receive_reply(Transport& net, const Message& msg) {
     // ABL-SEL: admit every passing object, evicting per LRU (a size-aware
     // cache may multi-evict under its byte budget or refuse admission).
     if (!lru_cache_->contains(reply.object)) ++stats_.cache_admissions;
-    for (const ObjectId evicted : lru_cache_->insert_evicting(reply.object)) {
-      lru_versions_.erase(evicted);
-    }
-    if (lru_cache_->contains(reply.object)) lru_versions_[reply.object] = reply.version;
+    lru_cache_->insert(reply.object, reply.version);
   }
 
   // If the update admitted the object into our cache and nobody on the

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/adc_config.h"
@@ -141,10 +140,8 @@ class AdcProxy final : public sim::ProxyAgent {
   /// `mine` is the object's table entry as located.
   std::uint64_t stored_version(ObjectId object, const Located& mine) const noexcept;
 
-  /// ABL-SEL mode: admit-all LRU cache replacing the ordered caching table,
-  /// plus the data versions of its contents.
+  /// ABL-SEL mode: admit-all LRU cache replacing the ordered caching table.
   std::unique_ptr<cache::CacheSet> lru_cache_;
-  std::unordered_map<ObjectId, std::uint64_t> lru_versions_;
 
   /// Payload store (null while disabled) and the erasure tier it powers.
   store::PayloadStorePtr store_;

@@ -257,7 +257,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   // client still has work, so the run terminates with the event queue.
   std::function<void()> membership_tick;
   if (membership_on) {
-    const SimTime tick_every = std::max<SimTime>(1, config.membership.tick_every);
+    // Tick cadence in sim ticks: finer than every SWIM timeout.
+    constexpr SimTime kTickEvery = 50;
     // Re-arm while the client has work OR re-stripe repair is still
     // queued: background healing may outlive the trace, and every queued
     // item eventually acks or abandons, so the extension is bounded.
@@ -265,14 +266,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
       return std::any_of(members.begin(), members.end(),
                          [](const membership::MemberAgent* m) { return m->restripe_pending(); });
     };
-    membership_tick = [&sim, &client, &members, &membership_tick, restripe_pending,
-                       tick_every]() {
+    membership_tick = [&sim, &client, &members, &membership_tick, restripe_pending]() {
       for (membership::MemberAgent* member : members) member->tick(sim, sim.now());
       if (!client.drained() || restripe_pending()) {
-        sim.schedule_after(tick_every, membership_tick);
+        sim.schedule_after(kTickEvery, membership_tick);
       }
     };
-    sim.schedule_after(tick_every, membership_tick);
+    sim.schedule_after(kTickEvery, membership_tick);
   }
 
   const auto wall_start = std::chrono::steady_clock::now();

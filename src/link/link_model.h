@@ -48,11 +48,6 @@ struct LinkConfig {
   /// Accounted wire size of a message that carries no payload (requests,
   /// SWIM, anti-entropy, chunk lookups) — the frame itself is not free.
   std::uint64_t control_bytes = 128;
-
-  /// Deficit-round-robin quantum and pacing burst: a transfer occupies
-  /// its egress for at most this many bytes before destinations sharing
-  /// the egress get a turn, so a 256KB object cannot lock out a ping.
-  std::uint64_t pacing_bytes = 64 * 1024;
 };
 
 class LinkModel {

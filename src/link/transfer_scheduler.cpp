@@ -62,7 +62,7 @@ void TransferScheduler::kick(NodeId node) {
   // credit, so destinations short-changed by a sub-quantum burst catch up
   // on their next turn (classic DRR byte fairness).
   std::uint64_t& deficit = e.deficit[dest];
-  deficit += model_.config().pacing_bytes;
+  deficit += kPacingBytes;
   const std::uint64_t burst = std::min(t.remaining, deficit);
   deficit -= burst;
 

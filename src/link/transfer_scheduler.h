@@ -10,7 +10,7 @@
 //
 // Fairness between destinations sharing an egress is deficit round-robin:
 // each destination keeps a FIFO of transfers and a deficit counter; a ring
-// visit grants one quantum (LinkConfig::pacing_bytes) of credit and serves
+// visit grants one quantum (TransferScheduler::kPacingBytes) of credit and serves
 // one burst of at most the accumulated credit, then rotates.  Large
 // objects are therefore *paced* — a 256KB reconstruction is served as
 // quantum-sized bursts interleaved with whatever else shares the egress —
@@ -49,6 +49,11 @@ struct TransferStats {
 
 class TransferScheduler final : public sim::LinkHook {
  public:
+  /// Deficit-round-robin quantum and pacing burst: a transfer occupies
+  /// its egress for at most this many bytes before destinations sharing
+  /// the egress get a turn, so a 256KB object cannot lock out a ping.
+  static constexpr std::uint64_t kPacingBytes = 64 * 1024;
+
   /// `sim` must outlive the scheduler; the scheduler must be installed via
   /// Simulator::set_link_hook before traffic starts.
   TransferScheduler(sim::Simulator& sim, LinkModel model);

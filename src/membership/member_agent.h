@@ -28,10 +28,6 @@ namespace adc::membership {
 struct MembershipConfig {
   SwimConfig swim;
   RepairConfig repair;
-
-  /// Cadence at which the host drives MemberAgent::tick (transport clock
-  /// units).  Must be finer than the SWIM timeouts.
-  SimTime tick_every = 50;
 };
 
 class MemberAgent final : public sim::Node {

@@ -19,23 +19,23 @@ struct RepairConfig {
   /// Gap between successive repair rounds while armed (transport clock
   /// units: sim ticks under the Simulator, microseconds live).
   SimTime interval = 400;
-
-  /// Rounds fired per detector transition.  Each membership change
-  /// (death, join, suspicion, refutation) re-arms the full budget, so a
-  /// partition heal — which surfaces as a burst of rejoin transitions —
-  /// buys enough rounds to reconverge even when single offers collide.
-  std::uint32_t rounds_per_transition = 3;
 };
 
 /// Decides *when* a repair round fires; the owner decides what a round
 /// does (offer opinions to every currently-alive peer).
 class RepairScheduler {
  public:
+  /// Rounds fired per detector transition.  Each membership change
+  /// (death, join, suspicion, refutation) re-arms the full budget, so a
+  /// partition heal — which surfaces as a burst of rejoin transitions —
+  /// buys enough rounds to reconverge even when single offers collide.
+  static constexpr std::uint32_t kRoundsPerTransition = 3;
+
   explicit RepairScheduler(RepairConfig config) : config_(config) {}
 
   /// Arms (or re-arms) the round budget.  Call on any detector transition.
   void note_transition(SimTime now) {
-    rounds_remaining_ = config_.rounds_per_transition;
+    rounds_remaining_ = kRoundsPerTransition;
     if (next_round_at_ < now + config_.interval) next_round_at_ = now + config_.interval;
   }
 

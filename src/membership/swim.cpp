@@ -117,9 +117,9 @@ void SwimDetector::escalate_probe(Transport& net, NodeId target, Probe& probe, S
     if (id != target && p.state != PeerState::kDead) relays.push_back(id);
   }
   rng_.shuffle(relays);
-  if (relays.size() > static_cast<std::size_t>(config_.ping_req_fanout)) {
-    relays.resize(static_cast<std::size_t>(config_.ping_req_fanout));
-  }
+  // Relays asked to probe indirectly when a direct probe times out.
+  constexpr std::size_t kPingReqFanout = 2;
+  if (relays.size() > kPingReqFanout) relays.resize(kPingReqFanout);
   probe.stage = ProbeStage::kIndirect;
   probe.sent_at = now;
   if (relays.empty()) return;  // nobody to ask: the indirect timeout decides

@@ -69,9 +69,6 @@ struct SwimConfig {
   /// Slow-probe gap toward members already declared dead (rejoin path).
   SimTime dead_probe_interval = 1600;
 
-  /// Relays asked to probe indirectly when a direct probe times out.
-  int ping_req_fanout = 2;
-
   /// Private RNG seed (never the transport's stream).
   std::uint64_t seed = 0x5317a11fULL;
 };

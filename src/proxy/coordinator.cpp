@@ -43,8 +43,10 @@ NodeId Coordinator::pick_proxy(Transport& net) {
 void Coordinator::reinforce(NodeId proxy, SimTime response_time) {
   // Reward shrinks with response time; 1/(1+rt) maps [0,inf) to (0,1].
   const double reward = 1.0 / (1.0 + static_cast<double>(response_time));
+  // Reinforcement step size for the score update.
+  constexpr double kLearningRate = 0.1;
   double& s = scores_[proxy];
-  s = (1.0 - config_.learning_rate) * s + config_.learning_rate * reward;
+  s = (1.0 - kLearningRate) * s + kLearningRate * reward;
 }
 
 void Coordinator::on_message(Transport& net, const Message& msg) {
@@ -61,7 +63,10 @@ void Coordinator::on_message(Transport& net, const Message& msg) {
   }
 
   const auto it = pending_.find(msg.request_id);
-  assert(it != pending_.end());
+  if (it == pending_.end()) {
+    ++stats_.orphan_replies;  // a duplicate of a reply already relayed
+    return;
+  }
   const Dispatch dispatch = it->second;
   pending_.erase(it);
   reinforce(dispatch.proxy, net.now() - dispatch.sent_at);

@@ -23,14 +23,14 @@ struct CoordinatorConfig {
   /// Probability of exploring a uniformly random proxy instead of the
   /// current best.
   double epsilon = 0.05;
-  /// Reinforcement step size for the score update.
-  double learning_rate = 0.1;
 };
 
 struct CoordinatorStats {
   std::uint64_t dispatched = 0;
   std::uint64_t explored = 0;
   std::uint64_t replies_relayed = 0;
+  std::uint64_t orphan_replies = 0;  // replies with no dispatch record
+                                     // (duplicates), dropped
 };
 
 class Coordinator final : public sim::Node {

@@ -103,11 +103,8 @@ void HashingProxy::rebuild_owners() {
   }
   owners_ = std::move(fresh);
   ++stats_.membership_epoch;
-  ++stats_.owner_rebuilds;
-  stats_.last_reshuffle_fraction =
-      static_cast<double>(moved) / static_cast<double>(kReshuffleSample);
-  stats_.max_reshuffle_fraction =
-      std::max(stats_.max_reshuffle_fraction, stats_.last_reshuffle_fraction);
+  const double reshuffled = static_cast<double>(moved) / static_cast<double>(kReshuffleSample);
+  stats_.max_reshuffle_fraction = std::max(stats_.max_reshuffle_fraction, reshuffled);
 }
 
 sim::ProxySnapshot HashingProxy::snapshot(bool with_contents) const {
@@ -132,21 +129,6 @@ void HashingProxy::send_reply_toward_client(Transport& net, Message reply, NodeI
   net.send(std::move(reply));
 }
 
-void HashingProxy::admit(ObjectId object, std::uint64_t version) {
-  evicted_.clear();
-  cache_->insert_evicting(object, &evicted_);
-  for (const ObjectId evicted : evicted_) versions_.erase_key(evicted);
-  // A size-aware cache may refuse admission outright (object larger than
-  // the byte budget); only remember versions for objects actually held.
-  if (!cache_->contains(object)) return;
-  const auto slot = versions_.find(object);
-  if (slot == versions_.kNil) {
-    versions_.push_back(Version{object, version});
-  } else {
-    versions_[slot].version = version;
-  }
-}
-
 void HashingProxy::receive_request(Transport& net, const Message& msg) {
   ++stats_.requests_received;
   const ObjectId object = msg.object;
@@ -159,7 +141,7 @@ void HashingProxy::receive_request(Transport& net, const Message& msg) {
     reply.resolver = id();
     reply.cached = true;
     reply.proxy_hit = true;
-    reply.version = version_of(object);
+    reply.version = cache_->version(object);
     reply.payload_bytes = size_of(object);
     stats_.payload_bytes_served += reply.payload_bytes;
     // A hit at the owner is returned directly to the client (bypassing the
@@ -222,11 +204,11 @@ void HashingProxy::handle_chunk_reply(Transport& net, const Message& msg) {
       reply.degraded = true;
       reply.hops = msg.hops;
       reply.payload_bytes = res.object_bytes;
-      reply.version = version_of(reply.object);
+      reply.version = cache_->version(reply.object);
       stats_.payload_bytes_served += reply.payload_bytes;
       // The reconstructed object is as good as a fetched one: admit it so
       // subsequent requests hit locally instead of re-reconstructing.
-      admit(reply.object, reply.version);
+      cache_->insert(reply.object, reply.version);
       send_reply_toward_client(net, std::move(reply), route.entry);
       return;
     }
@@ -249,7 +231,7 @@ void HashingProxy::receive_reply(Transport& net, const Message& msg) {
     // Origin answered our fetch: cache as owner, then route.
     const Route route = pending_.erase(slot);
     stats_.payload_bytes_fetched += msg.payload_bytes;
-    admit(msg.object, msg.version);
+    cache_->insert(msg.object, msg.version);
     if (erasure_ != nullptr) erasure_->stripe_object(net, msg.object);
     Message reply = msg;
     reply.resolver = id();
@@ -265,7 +247,7 @@ void HashingProxy::receive_reply(Transport& net, const Message& msg) {
   // client without caching: this proxy does not own the object, and
   // caching it would shadow the hash allocation once the owner returns.
   if (entry_caching_) {
-    admit(msg.object, msg.version);
+    cache_->insert(msg.object, msg.version);
   } else {
     ++stats_.degraded_replies;
   }

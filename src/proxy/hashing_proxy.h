@@ -81,10 +81,9 @@ struct HashingProxyStats {
   std::uint64_t degraded_replies = 0;  // origin replies relayed for requests that
                                        // were rerouted around a dead owner
   std::uint64_t membership_epoch = 0;  // confirmed membership transitions applied
-  std::uint64_t owner_rebuilds = 0;    // owner maps recomputed (== epoch today)
-  double last_reshuffle_fraction = 0.0;  // share of sampled objects whose owner
-                                         // moved in the latest rebuild
-  double max_reshuffle_fraction = 0.0;   // worst rebuild observed this run
+                                       // (each one rebuilds the owner map)
+  double max_reshuffle_fraction = 0.0;  // worst share of sampled objects whose
+                                        // owner moved in one rebuild
 
   // Byte accounting (0 while the payload store is disabled).
   std::uint64_t payload_bytes_served = 0;   // bytes of hits + degraded reads
@@ -129,10 +128,7 @@ class HashingProxy final : public sim::ProxyAgent {
   /// fetch routes survive).  Stripe-chunk *presence* survives a flush —
   /// chunk bytes are regenerable from the deterministic store, so the
   /// directory is the only state and a restarted daemon re-announces it.
-  void flush() override {
-    cache_->clear();
-    versions_.clear();
-  }
+  void flush() override { cache_->clear(); }
 
   /// Enables live membership: `members` is the full current membership
   /// (this proxy included) and `factory` recomputes the owner map from an
@@ -155,9 +151,6 @@ class HashingProxy final : public sim::ProxyAgent {
   void receive_reply(sim::Transport& net, const sim::Message& msg);
   void handle_chunk_reply(sim::Transport& net, const sim::Message& msg);
   void send_reply_toward_client(sim::Transport& net, sim::Message reply, NodeId entry);
-  /// Admits `object` (size-aware caches may refuse or multi-evict) and
-  /// keeps versions_ consistent with the cache contents.
-  void admit(ObjectId object, std::uint64_t version);
 
   std::shared_ptr<const OwnerMap> owners_;
   OwnerMapFactory factory_;
@@ -180,20 +173,6 @@ class HashingProxy final : public sim::ProxyAgent {
     std::uint64_t key() const noexcept { return request; }
   };
   util::KeyedList<Route> pending_;
-
-  /// Data versions of cached objects (staleness accounting).
-  struct Version {
-    ObjectId object = 0;
-    std::uint64_t version = 0;
-    std::uint64_t key() const noexcept { return object; }
-  };
-  util::KeyedList<Version> versions_;
-  std::uint64_t version_of(ObjectId object) const {
-    const auto slot = versions_.find(object);
-    return slot == versions_.kNil ? 0 : versions_[slot].version;
-  }
-
-  std::vector<ObjectId> evicted_;  // admit()'s reused eviction list
 
   std::uint64_t size_of(ObjectId object) const {
     return store_ == nullptr ? 0 : store_->size_of(object);

@@ -50,8 +50,7 @@ void CacheNode::on_message(Transport& net, const Message& msg) {
       reply.resolver = id();
       reply.cached = true;
       reply.proxy_hit = true;
-      const auto version = versions_.find(msg.object);
-      reply.version = version == versions_.end() ? 0 : version->second;
+      reply.version = cache_->version(msg.object);
       reply.payload_bytes = store_ == nullptr ? 0 : store_->size_of(msg.object);
       stats_.payload_bytes_served += reply.payload_bytes;
       net.send(std::move(reply));
@@ -68,13 +67,15 @@ void CacheNode::on_message(Transport& net, const Message& msg) {
   }
 
   // Reply from upstream: admit-all caching, then relay to the requester.
+  // A reply with no pending record is a duplicate of one already relayed.
+  if (!pending_.contains(msg.request_id)) {
+    ++stats_.orphan_replies;
+    return;
+  }
   const NodeId requester = pending_.pop(msg.request_id);
 
   stats_.payload_bytes_fetched += msg.payload_bytes;
-  for (const ObjectId evicted : cache_->insert_evicting(msg.object)) {
-    versions_.erase(evicted);
-  }
-  if (cache_->contains(msg.object)) versions_[msg.object] = msg.version;
+  cache_->insert(msg.object, msg.version);
   Message reply = msg;
   reply.sender = id();
   reply.target = requester;

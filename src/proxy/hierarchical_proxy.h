@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/policies.h"
@@ -27,6 +26,8 @@ struct CacheNodeStats {
   std::uint64_t requests_received = 0;
   std::uint64_t local_hits = 0;
   std::uint64_t forwards_upstream = 0;
+  std::uint64_t orphan_replies = 0;  // replies with no pending record
+                                     // (duplicates), dropped
   // Byte accounting (0 while the payload store is disabled).
   std::uint64_t payload_bytes_served = 0;   // bytes of local hits
   std::uint64_t payload_bytes_fetched = 0;  // bytes fetched from upstream
@@ -52,10 +53,7 @@ class CacheNode final : public sim::ProxyAgent {
 
   /// Fault injection: drops every cached object (cold restart; in-flight
   /// fetch routes survive).
-  void flush() override {
-    cache_->clear();
-    versions_.clear();
-  }
+  void flush() override { cache_->clear(); }
 
  private:
   NodeId upstream_;
@@ -68,9 +66,6 @@ class CacheNode final : public sim::ProxyAgent {
   /// case of the same id traversing twice, which cannot happen in a tree
   /// but keeps the invariant local).
   sim::PendingRecords pending_;
-
-  /// Data versions of cached objects (staleness accounting).
-  std::unordered_map<ObjectId, std::uint64_t> versions_;
 
   CacheNodeStats stats_;
 };

@@ -61,10 +61,12 @@ NodeId SoapProxy::pick_location(Transport& net, std::size_t category) {
 
 void SoapProxy::reinforce(std::size_t category, NodeId peer, SimTime response_time) {
   const double reward = 1.0 / (1.0 + static_cast<double>(response_time));
+  // Reinforcement step size.
+  constexpr double kLearningRate = 0.2;
   for (std::size_t i = 0; i < proxies_.size(); ++i) {
     if (proxies_[i] != peer) continue;
     double& s = scores_[category * proxies_.size() + i];
-    s = (1.0 - config_.learning_rate) * s + config_.learning_rate * reward;
+    s = (1.0 - kLearningRate) * s + kLearningRate * reward;
     return;
   }
 }
@@ -92,8 +94,7 @@ void SoapProxy::receive_request(Transport& net, const Message& msg) {
     reply.resolver = id();
     reply.cached = true;
     reply.proxy_hit = true;
-    const auto version = versions_.find(msg.object);
-    reply.version = version == versions_.end() ? 0 : version->second;
+    reply.version = cache_->version(msg.object);
     net.send(std::move(reply));
     return;
   }
@@ -132,7 +133,10 @@ void SoapProxy::receive_request(Transport& net, const Message& msg) {
 
 void SoapProxy::receive_reply(Transport& net, const Message& msg) {
   const auto it = pending_.find(msg.request_id);
-  assert(it != pending_.end() && "reply without pending record");
+  if (it == pending_.end()) {
+    ++stats_.orphan_replies;  // a duplicate of a reply already relayed
+    return;
+  }
   const PendingFetch fetch = it->second;
   pending_.erase(it);
 
@@ -143,7 +147,7 @@ void SoapProxy::receive_reply(Transport& net, const Message& msg) {
   if (fetch.forwarded_to == kInvalidNode) {
     // Our own origin fetch (as the category home): cache admit-all and
     // answer whoever asked (entry proxy or client).
-    remember_version(msg.object, msg.version, cache_->insert(msg.object));
+    cache_->insert(msg.object, msg.version);
     if (reply.resolver == kInvalidNode) reply.resolver = id();
     net.send(std::move(reply));
     return;
@@ -154,7 +158,7 @@ void SoapProxy::receive_reply(Transport& net, const Message& msg) {
   reinforce(fetch.category, fetch.forwarded_to, net.now() - fetch.sent_at);
   if (fetch.forwarded_to == id()) {
     // Self-route resolved at the origin: we are the category home.
-    remember_version(msg.object, msg.version, cache_->insert(msg.object));
+    cache_->insert(msg.object, msg.version);
     if (reply.resolver == kInvalidNode) reply.resolver = id();
   }
   net.send(std::move(reply));

@@ -41,8 +41,6 @@ class CategoryMap {
 struct SoapConfig {
   /// Exploration probability for the per-category location choice.
   double epsilon = 0.05;
-  /// Reinforcement step size.
-  double learning_rate = 0.2;
 };
 
 struct SoapProxyStats {
@@ -51,6 +49,8 @@ struct SoapProxyStats {
   std::uint64_t forwards_learned = 0;
   std::uint64_t forwards_explored = 0;
   std::uint64_t forwards_to_origin = 0;
+  std::uint64_t orphan_replies = 0;  // replies with no pending record
+                                     // (duplicates), dropped
 };
 
 class SoapProxy final : public sim::ProxyAgent {
@@ -74,7 +74,6 @@ class SoapProxy final : public sim::ProxyAgent {
   /// restart; in-flight fetch routes survive).
   void flush() override {
     cache_->clear();
-    versions_.clear();
     scores_.assign(scores_.size(), 0.5);
   }
 
@@ -101,15 +100,6 @@ class SoapProxy final : public sim::ProxyAgent {
     SimTime sent_at = 0;
   };
   std::unordered_map<RequestId, PendingFetch> pending_;
-
-  /// Data versions of cached objects (staleness accounting).
-  std::unordered_map<ObjectId, std::uint64_t> versions_;
-
-  void remember_version(ObjectId object, std::uint64_t version,
-                        const std::optional<ObjectId>& evicted) {
-    if (evicted.has_value()) versions_.erase(*evicted);
-    versions_[object] = version;
-  }
 
   SoapProxyStats stats_;
 };

@@ -183,7 +183,9 @@ double diurnal_weight(const DiurnalConfig& config, std::uint64_t r, double frac)
 
 Trace generate_diurnal_trace(const DiurnalConfig& config) {
   assert(config.populations >= 1);
-  const util::ZipfSampler zipf(static_cast<std::size_t>(kPopulationSize), config.zipf_alpha);
+  // Zipf exponent of each population's internal popularity.
+  constexpr double kZipfAlpha = 1.1;
+  const util::ZipfSampler zipf(static_cast<std::size_t>(kPopulationSize), kZipfAlpha);
   util::Rng rng(config.seed);
 
   std::vector<double> weights(static_cast<std::size_t>(config.populations));

@@ -140,9 +140,6 @@ struct DiurnalConfig {
   /// Full day cycles across the trace.
   double cycles = 2.0;
 
-  /// Zipf exponent of each population's internal popularity.
-  double zipf_alpha = 1.1;
-
   /// Off-peak floor of a population's traffic share before normalization:
   /// 0 makes populations go fully silent at their trough, larger values
   /// keep a base load everywhere.

@@ -34,17 +34,6 @@ struct PolygraphConfig {
   /// reproducing Figure 13's caching-table dominance and ~0.7 plateau.
   std::uint64_t hot_set_size = 30'000;
 
-  /// Zipf exponent of the hot-set popularity.  Calibrated (see
-  /// EXPERIMENTS.md) so the steady-state hit rates of ADC and CARP land in
-  /// the paper's regime — ~0.7 plateau with ADC ahead by a minimal margin;
-  /// web traces proper are flatter (Breslau et al.: 0.64-0.83), which
-  /// favours the hashing baseline.
-  double zipf_alpha = 1.1;
-
-  /// Probability that a fill-phase request repeats an earlier object
-  /// (Polygraph's fill phase has a small recurrence ratio).
-  double fill_recurrence = 0.02;
-
   std::uint64_t seed = 42;
 
   /// The paper-scale configuration (~3.99M requests).

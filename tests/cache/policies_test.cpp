@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 namespace adc::cache {
 namespace {
@@ -52,7 +53,7 @@ class CachePolicyTest : public ::testing::TestWithParam<Policy> {
 TEST_P(CachePolicyTest, InsertAndContains) {
   auto cache = make(4);
   EXPECT_FALSE(cache->contains(1));
-  cache->insert(1);
+  cache->insert(1, 0);
   EXPECT_TRUE(cache->contains(1));
   EXPECT_EQ(cache->size(), 1u);
 }
@@ -60,7 +61,7 @@ TEST_P(CachePolicyTest, InsertAndContains) {
 TEST_P(CachePolicyTest, CapacityIsBounded) {
   auto cache = make(3);
   for (ObjectId id = 1; id <= 10; ++id) {
-    cache->insert(id);
+    cache->insert(id, 0);
     ASSERT_LE(cache->size(), 3u);
   }
   EXPECT_EQ(cache->size(), 3u);
@@ -68,34 +69,47 @@ TEST_P(CachePolicyTest, CapacityIsBounded) {
 
 TEST_P(CachePolicyTest, EvictionReportsVictim) {
   auto cache = make(2);
-  EXPECT_FALSE(cache->insert(1).has_value());
-  EXPECT_FALSE(cache->insert(2).has_value());
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_FALSE(cache->contains(*victim));
+  EXPECT_TRUE(cache->insert_evicting(1).empty());
+  EXPECT_TRUE(cache->insert_evicting(2).empty());
+  const auto victims = cache->insert_evicting(3);
+  ASSERT_EQ(victims.size(), 1u);
+  EXPECT_FALSE(cache->contains(victims[0]));
   EXPECT_TRUE(cache->contains(3));
 }
 
 TEST_P(CachePolicyTest, ReinsertingPresentIsNoEviction) {
   auto cache = make(2);
-  cache->insert(1);
-  cache->insert(2);
-  EXPECT_FALSE(cache->insert(1).has_value());
+  cache->insert(1, 0);
+  cache->insert(2, 0);
+  EXPECT_TRUE(cache->insert_evicting(1).empty());
   EXPECT_EQ(cache->size(), 2u);
 }
 
-TEST_P(CachePolicyTest, EraseRemoves) {
-  auto cache = make(4);
-  cache->insert(1);
-  EXPECT_TRUE(cache->erase(1));
-  EXPECT_FALSE(cache->contains(1));
-  EXPECT_FALSE(cache->erase(1));
+// Each object keeps the version it was stored with: a re-insert overwrites
+// it, and an evicted, cleared or never-seen object reads 0.
+TEST_P(CachePolicyTest, VersionFollowsInsertEvictionAndClear) {
+  auto cache = make(2);
+  EXPECT_EQ(cache->version(1), 0u);
+  cache->insert(1, 7);
+  cache->insert(2, 3);
+  EXPECT_EQ(cache->version(1), 7u);
+  EXPECT_EQ(cache->version(2), 3u);
+  cache->insert(1, 9);
+  EXPECT_EQ(cache->version(1), 9u);
+  EXPECT_EQ(cache->size(), 2u);
+  std::vector<ObjectId> evicted;
+  cache->insert(5, 4, &evicted);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(cache->version(evicted[0]), 0u);
+  EXPECT_EQ(cache->version(5), 4u);
+  cache->clear();
+  EXPECT_EQ(cache->version(5), 0u);
 }
 
 TEST_P(CachePolicyTest, ClearEmpties) {
   auto cache = make(4);
-  cache->insert(1);
-  cache->insert(2);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
   cache->clear();
   EXPECT_EQ(cache->size(), 0u);
   EXPECT_FALSE(cache->contains(1));
@@ -103,7 +117,7 @@ TEST_P(CachePolicyTest, ClearEmpties) {
 
 TEST_P(CachePolicyTest, LookupCountsHitsAndMisses) {
   auto cache = make(4);
-  cache->insert(1);
+  cache->insert(1, 0);
   EXPECT_TRUE(cache->lookup(1));
   EXPECT_FALSE(cache->lookup(2));
   EXPECT_FALSE(cache->lookup(3));
@@ -113,7 +127,7 @@ TEST_P(CachePolicyTest, LookupCountsHitsAndMisses) {
 
 TEST_P(CachePolicyTest, EvictionOrderListsAllEntries) {
   auto cache = make(4);
-  for (ObjectId id = 1; id <= 4; ++id) cache->insert(id);
+  for (ObjectId id = 1; id <= 4; ++id) cache->insert(id, 0);
   EXPECT_EQ(cache->eviction_order().size(), 4u);
 }
 
@@ -125,20 +139,18 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyTest,
 
 TEST(LruCache, TouchProtectsEntry) {
   auto cache = make_cache(2, Policy::kLru);
-  cache->insert(1);
-  cache->insert(2);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
   cache->touch(1);  // 1 becomes most recent; 2 is now the victim
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 2u);
+  EXPECT_EQ(cache->insert_evicting(3), std::vector<ObjectId>{2});
   EXPECT_TRUE(cache->contains(1));
 }
 
 TEST(LruCache, EvictionOrderIsRecency) {
   auto cache = make_cache(3, Policy::kLru);
-  cache->insert(1);
-  cache->insert(2);
-  cache->insert(3);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
+  cache->insert(3, 0);
   cache->touch(1);
   const auto order = cache->eviction_order();
   ASSERT_EQ(order.size(), 3u);
@@ -149,43 +161,36 @@ TEST(LruCache, EvictionOrderIsRecency) {
 
 TEST(FifoCache, TouchDoesNotProtect) {
   auto cache = make_cache(2, Policy::kFifo);
-  cache->insert(1);
-  cache->insert(2);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
   cache->touch(1);  // no effect under FIFO
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 1u);  // oldest insertion evicted regardless
+  // The oldest insertion is evicted regardless.
+  EXPECT_EQ(cache->insert_evicting(3), std::vector<ObjectId>{1});
 }
 
 TEST(LfuCache, FrequencyProtects) {
   auto cache = make_cache(2, Policy::kLfu);
-  cache->insert(1);
-  cache->insert(2);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
   cache->touch(1);
   cache->touch(1);  // freq(1) = 3, freq(2) = 1
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 2u);
+  EXPECT_EQ(cache->insert_evicting(3), std::vector<ObjectId>{2});
   EXPECT_TRUE(cache->contains(1));
 }
 
 TEST(LfuCache, TieBreaksTowardOlder) {
   auto cache = make_cache(2, Policy::kLfu);
-  cache->insert(1);
-  cache->insert(2);  // both freq 1; 1 is older
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 1u);
+  cache->insert(1, 0);
+  cache->insert(2, 0);  // both freq 1; 1 is older
+  EXPECT_EQ(cache->insert_evicting(3), std::vector<ObjectId>{1});
 }
 
 TEST(LfuCache, InsertOfPresentBumpsFrequency) {
   auto cache = make_cache(2, Policy::kLfu);
-  cache->insert(1);
-  cache->insert(2);
-  cache->insert(1);  // acts as touch: freq(1) = 2
-  const auto victim = cache->insert(3);
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 2u);
+  cache->insert(1, 0);
+  cache->insert(2, 0);
+  cache->insert(1, 0);  // acts as touch: freq(1) = 2
+  EXPECT_EQ(cache->insert_evicting(3), std::vector<ObjectId>{2});
 }
 
 }  // namespace

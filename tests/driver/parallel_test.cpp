@@ -116,11 +116,15 @@ TEST(RunParallel, FaultCountersAggregateIdenticallyAcrossWorkers) {
   // Each run owns its FaultyNetwork with a private RNG, so the injected
   // and resilience counters are part of the determinism contract too: a
   // chaos sweep fanned across threads must report the exact same fault
-  // tallies as the serial replay, at every worker count.
+  // tallies as the serial replay, at every worker count.  Every scheme
+  // runs, and each must resolve every request it issued although replies
+  // arrive duplicated (an agent drops a reply it has no record for).
   const auto trace = tiny_trace();
   std::vector<ExperimentConfig> configs;
   for (const double loss : {0.01, 0.04}) {
-    for (const auto scheme : {Scheme::kAdc, Scheme::kCarp}) {
+    for (const auto scheme : {Scheme::kAdc, Scheme::kCarp, Scheme::kConsistent,
+                              Scheme::kRendezvous, Scheme::kHierarchical,
+                              Scheme::kCoordinator, Scheme::kSoap}) {
       ExperimentConfig config = base_config();
       config.scheme = scheme;
       config.fault_plan.drop_prob = loss;
@@ -133,6 +137,11 @@ TEST(RunParallel, FaultCountersAggregateIdenticallyAcrossWorkers) {
   const auto two = run_parallel(configs, trace, 2);
   const auto four = run_parallel(configs, trace, 4);
   ASSERT_EQ(serial.size(), configs.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    SCOPED_TRACE(std::string(scheme_name(configs[i].scheme)) + " config " + std::to_string(i));
+    EXPECT_EQ(serial[i].summary.completed + serial[i].summary.failed, trace.size());
+    EXPECT_GT(serial[i].faults.duplicates, 0u);
+  }
   for (const auto* fanned : {&two, &four}) {
     ASSERT_EQ(fanned->size(), configs.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -132,7 +132,7 @@ TEST(TransferScheduler, DrrInterleavesMouseWithHog) {
   // The hog still pays for its full megabyte.
   EXPECT_GT(h.a->receive_times[0], 1'048);
   // Pacing split the hog into quantum-sized bursts.
-  EXPECT_GE(sched.stats().bursts, 1'048'576 / sched.model().config().pacing_bytes);
+  EXPECT_GE(sched.stats().bursts, 1'048'576 / TransferScheduler::kPacingBytes);
 }
 
 // With no finite rate anywhere the hook declines every send and delivery

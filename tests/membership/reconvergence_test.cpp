@@ -102,8 +102,8 @@ TEST(Reconvergence, DivergentClaimsReconcileAfterPartitionHeal) {
   for (const MemberAgent* agent : cluster->agents) {
     EXPECT_GT(agent->repair().rounds_fired(), 0u);
     EXPECT_LE(agent->repair().rounds_fired(),
-              agent->config().repair.rounds_per_transition * agent->detector().epoch() +
-                  agent->config().repair.rounds_per_transition);
+              RepairScheduler::kRoundsPerTransition * agent->detector().epoch() +
+                  RepairScheduler::kRoundsPerTransition);
   }
 }
 

@@ -124,5 +124,20 @@ TEST(CacheNode, StatsCount) {
   EXPECT_EQ(h.nodes[0]->stats().forwards_upstream, 2u);
 }
 
+// A reply with no pending record (a duplicate of one already relayed) is
+// dropped and counted instead of popping an empty record stack.
+TEST(CacheNode, ReplyWithoutPendingRecordIsAnOrphan) {
+  Hierarchy h(1, {5});
+  h.run();
+  sim::Message duplicate;
+  duplicate.kind = sim::MessageKind::kReply;
+  duplicate.request_id = 12345;
+  duplicate.object = 5;
+  duplicate.sender = h.root->id();
+  h.nodes[0]->on_message(h.sim, duplicate);
+  EXPECT_EQ(h.nodes[0]->stats().orphan_replies, 1u);
+  EXPECT_EQ(h.sim.run(), 0u);  // nothing relayed
+}
+
 }  // namespace
 }  // namespace adc::proxy

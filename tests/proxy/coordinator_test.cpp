@@ -147,5 +147,20 @@ TEST(Coordinator, ContentBlindnessCapsHitRate) {
   EXPECT_EQ(d.origin->requests_served(), 3u);
 }
 
+// A reply with no dispatch record (a duplicate of one already relayed) is
+// dropped and counted.
+TEST(Coordinator, ReplyWithoutDispatchRecordIsAnOrphan) {
+  Deployment d(2, {5});
+  d.run();
+  sim::Message duplicate;
+  duplicate.kind = sim::MessageKind::kReply;
+  duplicate.request_id = 12345;
+  duplicate.object = 5;
+  duplicate.sender = d.backends[0]->id();
+  d.coordinator->on_message(d.sim, duplicate);
+  EXPECT_EQ(d.coordinator->stats().orphan_replies, 1u);
+  EXPECT_EQ(d.sim.run(), 0u);  // nothing relayed
+}
+
 }  // namespace
 }  // namespace adc::proxy

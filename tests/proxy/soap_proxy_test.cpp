@@ -145,5 +145,20 @@ TEST(SoapProxy, DeterministicAcrossRuns) {
   EXPECT_EQ(a.sim.metrics().summary().total_hops, b.sim.metrics().summary().total_hops);
 }
 
+// A reply with no pending fetch (a duplicate of one already relayed) is
+// dropped and counted.
+TEST(SoapProxy, ReplyWithoutPendingRecordIsAnOrphan) {
+  Deployment d(2, {5});
+  d.run();
+  sim::Message duplicate;
+  duplicate.kind = sim::MessageKind::kReply;
+  duplicate.request_id = 12345;
+  duplicate.object = 5;
+  duplicate.sender = d.origin->id();
+  d.proxies[0]->on_message(d.sim, duplicate);
+  EXPECT_EQ(d.proxies[0]->stats().orphan_replies, 1u);
+  EXPECT_EQ(d.sim.run(), 0u);  // nothing relayed
+}
+
 }  // namespace
 }  // namespace adc::proxy

@@ -31,7 +31,7 @@ TEST(Polygraph, FillPhaseIsMostlyUnique) {
   const Trace trace = generate_polygraph_trace(config);
   const Trace fill = trace.slice(0, trace.phases().fill_end);
   const auto stats = fill.stats();
-  // fill_recurrence defaults to 2%.
+  // The fill phase repeats an earlier object 2% of the time.
   EXPECT_LT(stats.recurrence_rate, 0.05);
   EXPECT_GT(stats.unique_objects, 4700u);
 }
@@ -105,7 +105,6 @@ TEST(Polygraph, ScaledConfigScalesEverything) {
   EXPECT_EQ(scaled.phase2_requests, full.phase2_requests / 10);
   EXPECT_EQ(scaled.phase3_requests, full.phase3_requests / 10);
   EXPECT_EQ(scaled.hot_set_size, full.hot_set_size / 10);
-  EXPECT_EQ(scaled.zipf_alpha, full.zipf_alpha);
 }
 
 TEST(Polygraph, ScaledNeverProducesZeroCounts) {

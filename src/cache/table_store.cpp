@@ -118,17 +118,17 @@ IndexedRows::Handle IndexedRows::attach(const Detached& d, TableId table) noexce
 }
 
 IndexedRows::Handle IndexedRows::insert(TableId table, const TableEntry& e) {
-  assert(free_ != kNoRow && !index_.contains(e.object));
+  assert(free_ != kNoRow && !index_.contains(e.object, KeyOf{this}));
   const std::uint32_t row = free_;
   free_ = rows_[row].aux;
   rows_[row].entry = e;
-  index_.assign(e.object, row);
+  index_.assign(e.object, row, KeyOf{this});
   return attach({row}, table);
 }
 
 void IndexedRows::erase(const Handle& h) noexcept {
   detach(h);
-  index_.erase(rows_[h.row].entry.object);
+  index_.erase(rows_[h.row].entry.object, h.row);
   rows_[h.row].aux = free_;
   free_ = h.row;
 }

@@ -25,13 +25,13 @@
 //    searched insert, element shifting) and a linked list, every object
 //    lookup a linear scan, every move a copy.  Figure 15 measures this.
 //  * IndexedRows — one slab of 64-byte rows for all three tables and one
-//    util::FlatIndex from object id to row.  Caching and multiple are
-//    binary max-heaps of row ids on (skew, insertion seq), kept by the
-//    util/indexed_heap.h helpers with each row's heap position in its
-//    link; the single-table is an LRU list threaded through the rows.  A
-//    refresh re-sifts its row in place; a move relinks the row without
-//    copying the entry or touching the index.  Nothing allocates after
-//    construction.
+//    util::FlatIndex from object id to row, which reads each id from its
+//    row's entry.  Caching and multiple are binary max-heaps of row ids
+//    on (skew, insertion seq), kept by the util/indexed_heap.h helpers
+//    with each row's heap position in its link; the single-table is an
+//    LRU list threaded through the rows.  A refresh re-sifts its row in
+//    place; a move relinks the row without copying the entry or touching
+//    the index.  Nothing allocates after construction.
 #pragma once
 
 #include <cstddef>
@@ -175,7 +175,7 @@ class IndexedRows {
   std::size_t capacity(TableId table) const noexcept { return capacities_.of(table); }
 
   Handle locate(ObjectId object) const noexcept {
-    const std::uint32_t row = index_.find(object);
+    const std::uint32_t row = index_.find(object, KeyOf{this});
     if (row == util::FlatIndex::kNone) return {};
     return {table_of(row), row};
   }
@@ -239,6 +239,12 @@ class IndexedRows {
   static_assert(sizeof(Row) == 64, "a row is one cache line");
 
   static constexpr unsigned kTagShift = 30;
+
+  /// What the index reads a row's object id through.
+  struct KeyOf {
+    const IndexedRows* rows;
+    ObjectId operator()(std::uint32_t row) const noexcept { return rows->rows_[row].entry.object; }
+  };
 
   TableId table_of(std::uint32_t row) const noexcept {
     return static_cast<TableId>(rows_[row].link >> kTagShift);

@@ -53,7 +53,7 @@ void Client::inject_next(sim::Simulator& sim) {
   request.issued_at = sim.now();
   const RequestId request_id = request.request_id;
   ++issued_;
-  outstanding_.assign(request_id, 0);
+  outstanding_.insert(request_id);
   sim.send(std::move(request));
 
   if (request_timeout_ > 0) {

@@ -105,7 +105,7 @@ class Client final : public sim::Node {
   SimTime request_timeout_ = 0;  // 0 = off
   /// Requests in flight; only consulted when faults can lose or duplicate
   /// replies (every reply matches an outstanding id in a fault-free run).
-  util::FlatIndex outstanding_;  // request id -> 0
+  util::FlatSet outstanding_;  // request ids awaiting a reply
   bool drained_ = false;
   std::map<std::uint64_t, std::vector<std::function<void()>>> milestones_;
   sim::VersionOraclePtr oracle_;

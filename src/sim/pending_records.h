@@ -5,8 +5,9 @@
 //
 // Every forwarded request pushes one record and every relayed reply pops
 // one, so the structure churns once per hop.  Records live in a recycled
-// array of links and a flat index maps each request to the top of its
-// stack: after warm-up nothing allocates.
+// array of links, each naming its request, and a flat index maps each
+// request to the top of its stack, reading the request id back from that
+// link: after warm-up nothing allocates.
 #pragma once
 
 #include <cassert>
@@ -23,13 +24,13 @@ class PendingRecords {
   /// Requests with at least one record.
   std::size_t size() const noexcept { return top_.size(); }
 
-  bool contains(RequestId request) const noexcept { return top_.contains(request); }
+  bool contains(RequestId request) const noexcept { return top_.contains(request, KeyOf{this}); }
 
   /// Records that the reply to `request` must go back to `previous_hop`.
   /// Returns whether `request` already had a record — a request that
   /// revisits this node — so a caller's loop check costs no extra probe.
   bool push(RequestId request, NodeId previous_hop) {
-    const std::uint32_t below = top_.find(request);
+    const std::uint32_t below = top_.find(request, KeyOf{this});
     std::uint32_t link = 0;
     if (free_ != kNil) {
       link = free_;
@@ -38,21 +39,21 @@ class PendingRecords {
       link = static_cast<std::uint32_t>(links_.size());
       links_.emplace_back();
     }
-    links_[link] = Link{previous_hop, below};
-    top_.assign(request, link);
+    links_[link] = Link{request, previous_hop, below};
+    top_.assign(request, link, KeyOf{this});
     return below != kNil;
   }
 
   /// Pops and returns the most recent record of `request`; requires
   /// contains(request).
   NodeId pop(RequestId request) {
-    const std::uint32_t link = top_.find(request);
+    const std::uint32_t link = top_.find(request, KeyOf{this});
     assert(link != kNil);
     const Link popped = links_[link];
     if (popped.below == kNil) {
-      top_.erase(request);
+      top_.erase(request, link);
     } else {
-      top_.assign(request, popped.below);
+      top_.assign(request, popped.below, KeyOf{this});
     }
     links_[link].below = free_;
     free_ = link;
@@ -63,8 +64,17 @@ class PendingRecords {
   static constexpr std::uint32_t kNil = util::FlatIndex::kNone;
 
   struct Link {
+    RequestId request = 0;
     NodeId hop = kInvalidNode;
     std::uint32_t below = kNil;  // next record of the same request (or next free link)
+  };
+
+  /// What the index reads a link's request id through.
+  struct KeyOf {
+    const PendingRecords* records;
+    RequestId operator()(std::uint32_t link) const noexcept {
+      return records->links_[link].request;
+    }
   };
 
   util::FlatIndex top_;

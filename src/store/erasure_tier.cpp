@@ -120,7 +120,7 @@ void ErasureTier::stripe_object(sim::Transport& net, ObjectId object) {
   if (!enabled_ || striped_.contains(object)) return;
   const Stripe peers = place(object);
   if (peers.width == 0) return;
-  striped_.assign(object, 0);
+  striped_.insert(object);
   ++stats_.stripes_registered;
   // With repair on and deaths believed, dead owners' chunks go straight to
   // their replacements: stripes registered mid-outage are born full-width
@@ -152,7 +152,9 @@ bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) 
     return false;
   }
   // Re-registration (e.g. a new owner re-striped after churn): refresh.
-  release_chunk(object);
+  if (const auto slot = directory_.find(object); slot != directory_.kNil) {
+    directory_bytes_ -= directory_.erase(slot).bytes;
+  }
   const std::uint64_t budget = store_->config().erasure.directory_budget;
   if (budget > 0) {
     while (directory_bytes_ + bytes > budget && !directory_.empty()) {
@@ -165,14 +167,6 @@ bool ErasureTier::record_chunk(ObjectId object, int index, std::uint64_t bytes) 
   directory_bytes_ += bytes;
   ++stats_.chunks_stored;
   return true;
-}
-
-std::optional<int> ErasureTier::release_chunk(ObjectId object) {
-  const auto slot = directory_.find(object);
-  if (slot == directory_.kNil) return std::nullopt;
-  const DirEntry entry = directory_.erase(slot);
-  directory_bytes_ -= entry.bytes;
-  return entry.index;
 }
 
 void ErasureTier::on_stripe_store(const sim::Message& msg) {
@@ -454,16 +448,20 @@ StripeCensus take_stripe_census(const std::vector<ErasureTier*>& tiers, int k) {
   const auto bit = [](int index) { return index >= 0 && index < 64 ? 1ULL << index : 0; };
   StripeCensus census;
   for (std::size_t i = 0; i < tiers.size(); ++i) {
-    tiers[i]->drain_chunks([&](ObjectId object, int index, std::uint64_t) {
+    tiers[i]->for_each_chunk([&](ObjectId object, int index, std::uint64_t) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (tiers[j]->chunk_index(object)) return;  // counted at tier j
+      }
       std::uint64_t mask = bit(index);
       for (std::size_t j = i + 1; j < tiers.size(); ++j) {
-        if (const std::optional<int> other = tiers[j]->release_chunk(object)) mask |= bit(*other);
+        if (const std::optional<int> other = tiers[j]->chunk_index(object)) mask |= bit(*other);
       }
       if (mask == 0) return;
       ++census.objects;
       if (std::popcount(mask) < k) ++census.stranded;
     });
   }
+  for (ErasureTier* tier : tiers) tier->free_directory();
   return census;
 }
 

@@ -226,9 +226,13 @@ class ErasureTier {
   std::uint64_t directory_bytes() const noexcept { return directory_bytes_; }
   std::size_t directory_entries() const noexcept { return directory_.size(); }
 
-  /// Drops `object`'s chunk from the directory; returns its index, or
-  /// nothing when no chunk of `object` is held.
-  std::optional<int> release_chunk(ObjectId object);
+  /// The index of the chunk of `object` the directory holds, if any.
+  /// Read-only: the chunk's recency is unchanged.
+  std::optional<int> chunk_index(ObjectId object) const {
+    const auto slot = directory_.find(object);
+    if (slot == directory_.kNil) return std::nullopt;
+    return directory_[slot].index;
+  }
 
   /// Visits every directory entry as (object, chunk index, bytes), most
   /// recently used first (tests read directories through it).
@@ -238,15 +242,11 @@ class ErasureTier {
         [&fn](const DirEntry& entry) { fn(entry.object, entry.index, entry.bytes); });
   }
 
-  /// Moves the directory out, visits it like for_each_chunk and frees it,
-  /// leaving this tier's directory empty (see take_stripe_census).
-  template <typename Fn>
-  void drain_chunks(Fn&& fn) {
-    const util::KeyedList<DirEntry> directory =
-        std::exchange(directory_, util::KeyedList<DirEntry>());
+  /// Frees the directory, leaving it empty and usable (see
+  /// take_stripe_census).
+  void free_directory() {
+    directory_ = util::KeyedList<DirEntry>();
     directory_bytes_ = 0;
-    directory.for_each(
-        [&fn](const DirEntry& entry) { fn(entry.object, entry.index, entry.bytes); });
   }
 
  private:
@@ -319,7 +319,7 @@ class ErasureTier {
 
   std::vector<std::uint8_t> dead_;  // believed dead, per members_ position
   std::size_t dead_count_ = 0;
-  util::FlatIndex striped_;  // stripes this node registered (object -> 0)
+  util::FlatSet striped_;  // stripes this node registered
 
   // Chunk directory with LRU byte budget: front = most recent.
   util::KeyedList<DirEntry> directory_;
@@ -337,12 +337,13 @@ struct StripeCensus {
                              // distinct chunk indexes: not reconstructible
 };
 
-/// Takes the census of `tiers` and empties their directories.  Each tier
-/// in turn is drained; every object it holds is released from the tiers
-/// after it, so each object is counted once, from all of its chunks,
-/// without a union of the directories — the census allocates nothing, and
-/// each directory is freed once counted.  Indexes outside [0, 64) (RdpCode
-/// caps a stripe at 64 chunks) count for nothing.
+/// Takes the census of `tiers` and frees their directories.  Each object
+/// is counted once, at the first tier that holds it, from its chunks in
+/// that tier and every later one: read-only probes skip an object an
+/// earlier tier holds and gather the later tiers' indexes, so the census
+/// needs no union of the directories and allocates nothing.  The
+/// directories are freed once every tier is counted.  Indexes outside
+/// [0, 64) (RdpCode caps a stripe at 64 chunks) count for nothing.
 StripeCensus take_stripe_census(const std::vector<ErasureTier*>& tiers, int k);
 
 }  // namespace adc::store

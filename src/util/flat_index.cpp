@@ -1,45 +1,20 @@
 #include "util/flat_index.h"
 
-#include <cassert>
+namespace adc::util::flat_detail {
 
-namespace adc::util {
-
-FlatIndex::FlatIndex(std::size_t expected) {
+template <typename Bucket>
+Table<Bucket>::Table(std::size_t expected) {
   std::size_t buckets = 8;
   while (buckets < 2 * expected) buckets *= 2;
-  rehash(buckets);
+  buckets_.resize(buckets);
+  set_layout();
 }
 
-void FlatIndex::assign(std::uint64_t key, std::uint32_t slot) {
-  assert(slot != kNone);
-  if (4 * (size_ + 1) > 3 * buckets_.size()) rehash(2 * buckets_.size());
-  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-    Bucket& b = buckets_[i];
-    if (b.slot == kNone) {
-      b.set_key(key);
-      b.slot = slot;
-      ++size_;
-      return;
-    }
-    if (b.key() == key) {
-      b.slot = slot;
-      return;
-    }
-  }
-}
-
-bool FlatIndex::erase(std::uint64_t key) noexcept {
-  std::size_t hole = home(key);
-  for (;; hole = (hole + 1) & mask_) {
-    const Bucket& b = buckets_[hole];
-    if (b.slot == kNone) return false;
-    if (b.key() == key) break;
-  }
-  // Backward-shift deletion: pull every later member of the probe run whose
-  // home lies at or before the hole into it, so no lookup ever stops early.
-  for (std::size_t next = (hole + 1) & mask_; buckets_[next].slot != kNone;
+template <typename Bucket>
+void Table<Bucket>::erase_at(std::size_t hole) noexcept {
+  for (std::size_t next = (hole + 1) & mask_; !buckets_[next].empty();
        next = (next + 1) & mask_) {
-    const std::size_t displacement = (next - home(buckets_[next].key())) & mask_;
+    const std::size_t displacement = (next - home(tag_of(buckets_[next]))) & mask_;
     if (displacement >= ((next - hole) & mask_)) {
       buckets_[hole] = buckets_[next];
       hole = next;
@@ -47,25 +22,27 @@ bool FlatIndex::erase(std::uint64_t key) noexcept {
   }
   buckets_[hole] = Bucket{};
   --size_;
-  return true;
 }
 
-void FlatIndex::clear() noexcept {
+template <typename Bucket>
+void Table<Bucket>::clear() noexcept {
   for (Bucket& b : buckets_) b = Bucket{};
   size_ = 0;
 }
 
-void FlatIndex::rehash(std::size_t buckets) {
-  std::vector<Bucket> old(buckets);
-  old.swap(buckets_);
+template <typename Bucket>
+void Table<Bucket>::set_layout() noexcept {
+  const std::size_t buckets = buckets_.size();
+  // A 32-bit tag carries the home of up to 2^29 buckets (4 GiB) in either
+  // layout: the block-local one keeps 3 of its bits for key & 7.
+  assert(buckets <= (std::size_t{1} << 29));
   mask_ = buckets - 1;
-  shift_ = 64;
+  shift_ = 32;
   for (std::size_t n = buckets; n > 1; n /= 2) --shift_;
   block_local_ = buckets >= kBlockLocalBuckets;
-  size_ = 0;
-  for (const Bucket& b : old) {
-    if (b.slot != kNone) assign(b.key(), b.slot);
-  }
 }
 
-}  // namespace adc::util
+template class Table<SlotBucket>;
+template class Table<KeyBucket>;
+
+}  // namespace adc::util::flat_detail

@@ -15,12 +15,16 @@
 // and references to rows stay valid until the row is erased.  The first
 // page holds 64 rows and each next one twice as many up to kMaxPageRows
 // (4,096), after which every page holds kMaxPageRows: a list never holds
-// more than one page of unused rows, a small list stays small, and a row
-// is found from its number by a shift and a mask.  A single reallocating
-// vector would hold up to twice its rows, and three times while it grows.
+// more than one page of unused rows and a small list stays small.  A
+// single reallocating vector would hold up to twice its rows, and three
+// times while it grows.  A table of pointers to 64-row chunks of the
+// pages finds a row from its number: row s is chunk s >> 6, row s & 63.
 //
 // Each value carries its own key: T provides `std::uint64_t key() const`,
-// so a row is the value plus two links and no key is stored twice.
+// and that row is the only place the key is stored.  A row is the value
+// plus two 32-bit links.  The index spends 4/3 to 8/3 buckets of 8 bytes
+// (a 32-bit tag and the row number) per key and reads the key from the
+// row.  The chunk table adds one pointer per 64 rows.
 #pragma once
 
 #include <algorithm>
@@ -68,9 +72,10 @@ class KeyedList {
         tail_(other.tail_),
         free_(other.free_) {
     pages_.reserve(other.pages_.size());
-    for (std::size_t page = 0; page < other.pages_.size(); ++page) {
-      pages_.emplace_back().reserve(page_rows(page));
-      pages_.back().assign(other.pages_[page].begin(), other.pages_[page].end());
+    chunks_.reserve(other.chunks_.size());
+    for (const std::vector<Row>& page : other.pages_) {
+      add_page();
+      pages_.back().assign(page.begin(), page.end());
     }
   }
   KeyedList& operator=(const KeyedList& other) {
@@ -84,8 +89,8 @@ class KeyedList {
   bool empty() const noexcept { return index_.empty(); }
 
   /// The row holding `key`, or kNil.
-  Slot find(std::uint64_t key) const noexcept { return index_.find(key); }
-  bool contains(std::uint64_t key) const noexcept { return index_.contains(key); }
+  Slot find(std::uint64_t key) const noexcept { return index_.find(key, KeyOf{this}); }
+  bool contains(std::uint64_t key) const noexcept { return index_.contains(key, KeyOf{this}); }
 
   /// A live row's value; callers must not change its key.
   T& operator[](Slot slot) noexcept { return row(slot).value; }
@@ -124,7 +129,7 @@ class KeyedList {
   T erase(Slot slot) {
     unlink(slot);
     Row& r = row(slot);
-    index_.erase(r.value.key());
+    index_.erase(r.value.key(), slot);
     r.next = free_;
     free_ = slot;
     return r.value;
@@ -132,7 +137,7 @@ class KeyedList {
 
   /// Erases the row of `key`; returns false when it was absent.
   bool erase_key(std::uint64_t key) {
-    const Slot slot = index_.find(key);
+    const Slot slot = find(key);
     if (slot == kNil) return false;
     erase(slot);
     return true;
@@ -159,32 +164,42 @@ class KeyedList {
   static_assert(std::has_single_bit(kFirstPageRows) && std::has_single_bit(kMaxPageRows) &&
                 kFirstPageRows <= kMaxPageRows);
 
-  /// Where a row lives: slot s is row n = s + kFirstPageRows of a run of
+  /// The page holding slot s: s is row n = s + kFirstPageRows of a run of
   /// pages sized 64, 128, ... (page p starts at n = 64 << p) until they
   /// reach kMaxPageRows, after which page p starts at n = (p - 5) << 12.
-  /// Either way the page is (n >> shift) + shift - 7 and the row's place
-  /// in it n's low `shift` bits, with shift = min(floor(log2 n), 12).
-  struct Place {
-    std::size_t page;
-    std::size_t offset;
-  };
-  static Place place(Slot slot) noexcept {
+  /// Either way the page is (n >> shift) + shift - 7, with
+  /// shift = min(floor(log2 n), 12).  Every page boundary is a multiple of
+  /// kFirstPageRows, so each chunk lies in one page.
+  static std::size_t page_of(Slot slot) noexcept {
     const std::size_t n = std::size_t{slot} + kFirstPageRows;
     const unsigned shift = std::min(static_cast<unsigned>(std::bit_width(n)) - 1, kMaxShift);
-    return {(n >> shift) + shift - (kFirstShift + 1), n & ((std::size_t{1} << shift) - 1)};
+    return (n >> shift) + shift - (kFirstShift + 1);
   }
   static std::size_t page_rows(std::size_t page) noexcept {
     return page < kMaxShift - kFirstShift ? kFirstPageRows << page : kMaxPageRows;
   }
 
   const Row& row(Slot slot) const noexcept {
-    const Place at = place(slot);
-    return pages_[at.page][at.offset];
+    return chunks_[slot >> kFirstShift][slot & (kFirstPageRows - 1)];
   }
   Row& row(Slot slot) noexcept { return const_cast<Row&>(std::as_const(*this).row(slot)); }
 
+  /// What the index reads a slot's key through.
+  struct KeyOf {
+    const KeyedList* list;
+    std::uint64_t operator()(Slot slot) const noexcept { return list->row(slot).value.key(); }
+  };
+
+  /// Appends the next page, reserved in full, and its chunks.
+  void add_page() {
+    const std::size_t rows = page_rows(pages_.size());
+    std::vector<Row>& page = pages_.emplace_back();
+    page.reserve(rows);
+    for (std::size_t at = 0; at < rows; at += kFirstPageRows) chunks_.push_back(page.data() + at);
+  }
+
   Slot acquire(const T& value) {
-    assert(!index_.contains(value.key()));
+    assert(!contains(value.key()));
     Slot slot = free_;
     if (slot != kNil) {
       Row& r = row(slot);
@@ -192,11 +207,11 @@ class KeyedList {
       r.value = value;
     } else {
       slot = static_cast<Slot>(used_++);
-      const std::size_t page = place(slot).page;
-      if (page == pages_.size()) pages_.emplace_back().reserve(page_rows(page));
+      const std::size_t page = page_of(slot);
+      if (page == pages_.size()) add_page();
       pages_[page].push_back(Row{value, kNil, kNil});
     }
-    index_.assign(value.key(), slot);
+    index_.assign(value.key(), slot, KeyOf{this});
     return slot;
   }
 
@@ -224,8 +239,10 @@ class KeyedList {
 
   /// Page p holds page_rows(p) rows; only the last one in use is partly
   /// filled, and each is reserved in full when it is added, so its rows
-  /// never move.
+  /// never move.  chunks_[c] points at row 64c, in whichever page holds it
+  /// (a moved list keeps its pages' buffers, so the pointers stay valid).
   std::vector<std::vector<Row>> pages_;
+  std::vector<Row*> chunks_;
   FlatIndex index_;
   std::size_t used_ = 0;  // slots handed out since construction or clear()
   Slot head_ = kNil;

@@ -135,6 +135,43 @@ TEST(KeyedList, CopyOfAMultiPageListIsIndependent) {
   EXPECT_NE(&assigned[assigned.find(1)], &copy[copy.find(1)]);
 }
 
+// A row is found through a table of 64-row chunk pointers.  Rows on
+// either side of every chunk boundary in the first pages (and of page
+// boundaries, which are chunk boundaries too) read back in the list, in a
+// copy, after pushes into the copy, and in a list moved from the copy.
+TEST(KeyedList, RowsReadBackAcrossChunkBoundariesAndAfterACopy) {
+  List list;
+  constexpr std::uint64_t kRows = 9000;
+  for (std::uint64_t key = 0; key < kRows; ++key) {
+    list.push_back(Item{key * 7 + 3, static_cast<int>(key)});
+  }
+  const auto expect_rows = [](const List& l, const char* what) {
+    for (std::uint64_t boundary = 64; boundary < kRows; boundary += 64) {
+      for (const std::uint64_t slot : {boundary - 1, boundary}) {
+        const Item& item = l[static_cast<List::Slot>(slot)];
+        ASSERT_EQ(item.id, slot * 7 + 3) << what << " slot " << slot;
+        ASSERT_EQ(item.value, static_cast<int>(slot)) << what << " slot " << slot;
+        ASSERT_EQ(l.find(slot * 7 + 3), slot) << what << " slot " << slot;
+      }
+    }
+  };
+  expect_rows(list, "original");
+  List copy = list;
+  expect_rows(copy, "copy");
+  for (std::uint64_t key = kRows; key < kRows + 200; ++key) {
+    copy.push_back(Item{key * 7 + 3, static_cast<int>(key)});
+  }
+  for (List::Slot slot = 8999; slot < 9200; ++slot) {
+    ASSERT_EQ(copy[slot].id, std::uint64_t{slot} * 7 + 3) << "slot " << slot;
+  }
+  EXPECT_FALSE(list.contains(9100 * 7 + 3));
+  const Item* in_copy = &copy[4096];
+  const List moved = std::move(copy);
+  EXPECT_EQ(&moved[4096], in_copy);  // a move keeps the pages and their chunks
+  expect_rows(moved, "moved");
+  expect_rows(list, "original after the copy");
+}
+
 TEST(KeyedList, ClearThenRefillReusesPages) {
   List list;
   std::vector<const Item*> before;

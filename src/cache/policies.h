@@ -96,7 +96,6 @@ class CacheSet {
   virtual std::uint64_t bytes() const noexcept = 0;
 
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
 
   /// Combined lookup + bookkeeping: true and touch on hit.
   bool lookup(ObjectId object) {
@@ -105,7 +104,6 @@ class CacheSet {
       touch(object);
       return true;
     }
-    ++misses;
     return false;
   }
 

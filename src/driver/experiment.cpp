@@ -294,9 +294,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config, const workload::
   result.sim_end_time = sim.now();
   result.origin_served = origin.requests_served();
   result.store.origin_bytes_served = origin.bytes_served();
-  result.hops_p50 = sim.metrics().hop_histogram().percentile(0.50);
-  result.hops_p95 = sim.metrics().hop_histogram().percentile(0.95);
-  result.hops_max = sim.metrics().hop_histogram().max_seen();
+  const sim::PercentileTracker& hops = sim.metrics().hop_histogram();
+  result.hops_p50 = static_cast<int>(hops.percentile(0.50));
+  result.hops_p95 = static_cast<int>(hops.percentile(0.95));
+  result.hops_max = static_cast<int>(hops.max_seen());
   result.latency_p50 = sim.metrics().latency_tracker().percentile(0.50);
   result.latency_p95 = sim.metrics().latency_tracker().percentile(0.95);
   result.latency_p99 = sim.metrics().latency_tracker().percentile(0.99);

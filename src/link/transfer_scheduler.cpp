@@ -7,7 +7,7 @@
 namespace adc::link {
 
 TransferScheduler::TransferScheduler(sim::Simulator& sim, LinkModel model)
-    : sim_(sim), model_(std::move(model)), wait_(1 << 16) {}
+    : sim_(sim), model_(std::move(model)) {}
 
 bool TransferScheduler::on_send(const sim::Message& msg, sim::NodeKind /*from*/,
                                 sim::NodeKind /*to*/, SimTime now, SimTime base_delay) {
@@ -69,7 +69,7 @@ void TransferScheduler::kick(NodeId node) {
   if (!t.started) {
     t.started = true;
     const SimTime waited = sim_.now() - t.enqueued;
-    wait_.add(static_cast<double>(waited));
+    wait_.add(waited);
     stats_.total_wait += waited;
     stats_.max_wait = std::max(stats_.max_wait, waited);
     if (waited > 0) ++stats_.queued;

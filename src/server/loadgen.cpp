@@ -299,7 +299,7 @@ void LoadGenerator::on_reply(const sim::Message& msg) {
     ++degraded_reads_;
     bytes_recovered_ += msg.payload_bytes;
   }
-  latency_us_.add(static_cast<double>(now_us() - msg.issued_at));
+  latency_us_.add(now_us() - msg.issued_at);
 }
 
 void LoadGenerator::conn_died(int fd, net::Conn::Io io) {

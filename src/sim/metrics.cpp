@@ -42,109 +42,59 @@ double MetricsSummary::max_share(const std::vector<std::uint64_t>& counts) noexc
   return total == 0 ? 0.0 : static_cast<double>(hi) / static_cast<double>(total);
 }
 
-PercentileTracker::PercentileTracker(std::size_t max_samples)
-    : cap_(max_samples < 2 ? 2 : max_samples) {
-  // An odd cap would drift the even-index decimation; keep it even.
-  cap_ &= ~std::size_t{1};
-}
-
-void PercentileTracker::add(double value) {
-  ++added_;
-  if (phase_ != 0) {
-    phase_ = (phase_ + 1) % stride_;
+void PercentileTracker::add(std::int64_t value) {
+  ++count_;
+  if (value < 0 || value >= static_cast<std::int64_t>(kDenseLimit)) {
+    overflow_.push_back(value);
+    overflow_sorted_ = false;
     return;
   }
-  phase_ = (phase_ + 1) % stride_;
-  pivot_ = kNoPivot;
-  if (samples_.size() == cap_) {
-    // Keep every other stored sample and halve the future sampling rate:
-    // deterministic, no RNG, bounded memory.  (Samples a percentile() call
-    // has seen are thinned in sorted order — uniformly over the order
-    // statistics instead of the arrival sequence; either is an unbiased
-    // subsample.)
-    std::sort(samples_.begin(), samples_.begin() + static_cast<std::ptrdiff_t>(selected_));
-    selected_ = 0;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < samples_.size(); i += 2) samples_[kept++] = samples_[i];
-    samples_.resize(kept);
-    stride_ *= 2;
-    phase_ = 1 % stride_;
+  const auto index = static_cast<std::size_t>(value);
+  if (index >= counts_.size()) {
+    // Grow geometrically, but never past the dense range.
+    counts_.reserve(std::min(kDenseLimit, std::max(index + 1, 2 * counts_.size())));
+    counts_.resize(index + 1);
   }
-  samples_.push_back(value);
+  ++counts_[index];
 }
 
-double PercentileTracker::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto n = static_cast<double>(samples_.size());
-  auto rank = static_cast<std::size_t>(std::ceil(q * n));
-  if (rank == 0) rank = 1;  // q == 0 means "the minimum value"
-  if (rank > samples_.size()) rank = samples_.size();
-  // After a selection every sample before the pivot is <= it and every
-  // one after is >= it, so a later rank lies in [pivot, end) and an
-  // earlier one in [begin, pivot): select within that side alone.
-  const std::size_t index = rank - 1;
-  auto first = samples_.begin();
-  auto last = samples_.end();
-  if (pivot_ != kNoPivot) {
-    if (index == pivot_) return samples_[index];
-    if (index > pivot_) {
-      first += static_cast<std::ptrdiff_t>(pivot_);
-    } else {
-      last = first + static_cast<std::ptrdiff_t>(pivot_);
-    }
+std::int64_t PercentileTracker::percentile(double q) const {
+  if (count_ == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
+  if (!overflow_sorted_) {
+    std::sort(overflow_.begin(), overflow_.end());
+    overflow_sorted_ = true;
   }
-  const auto kth = samples_.begin() + static_cast<std::ptrdiff_t>(index);
-  std::nth_element(first, kth, last);
-  selected_ = samples_.size();
-  pivot_ = index;
-  return *kth;
+  // Ranks run through the negative overflow, the dense counts, then the
+  // overflow at or above kDenseLimit.
+  const auto negatives = static_cast<std::uint64_t>(
+      std::lower_bound(overflow_.begin(), overflow_.end(), 0) - overflow_.begin());
+  if (rank <= negatives) return overflow_[rank - 1];
+  rank -= negatives;
+  for (std::size_t v = 0; v < counts_.size(); ++v) {
+    if (rank <= counts_[v]) return static_cast<std::int64_t>(v);
+    rank -= counts_[v];
+  }
+  return overflow_[negatives + rank - 1];
+}
+
+double PercentileTracker::mean() const {
+  if (count_ == 0) return 0.0;
+  std::int64_t sum = 0;
+  for (std::size_t v = 0; v < counts_.size(); ++v) {
+    sum += static_cast<std::int64_t>(v * counts_[v]);
+  }
+  for (const std::int64_t v : overflow_) sum += v;
+  return static_cast<double>(sum) / static_cast<double>(count_);
 }
 
 void PercentileTracker::clear() {
-  samples_.clear();
-  stride_ = 1;
-  phase_ = 0;
-  added_ = 0;
-  selected_ = 0;
-  pivot_ = kNoPivot;
-}
-
-void IntHistogram::add(int value) noexcept {
-  if (value < 0) value = 0;
-  ++total_;
-  sum_ += static_cast<std::uint64_t>(value);
-  if (value > max_seen_) max_seen_ = value;
-  const auto index = static_cast<std::size_t>(value);
-  if (index < counts_.size() - 1) {
-    ++counts_[index];
-  } else {
-    ++counts_.back();
-  }
-}
-
-std::uint64_t IntHistogram::count_of(int value) const noexcept {
-  if (value < 0 || static_cast<std::size_t>(value) >= counts_.size() - 1) return 0;
-  return counts_[static_cast<std::size_t>(value)];
-}
-
-int IntHistogram::percentile(double q) const noexcept {
-  if (total_ == 0) return -1;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  auto threshold = static_cast<std::uint64_t>(q * static_cast<double>(total_) + 0.999999);
-  if (threshold == 0) threshold = 1;  // q == 0 means "the minimum value"
-  std::uint64_t cumulative = 0;
-  for (std::size_t v = 0; v < counts_.size() - 1; ++v) {
-    cumulative += counts_[v];
-    if (cumulative >= threshold) return static_cast<int>(v);
-  }
-  return static_cast<int>(counts_.size() - 1);  // overflow bucket
-}
-
-double IntHistogram::mean() const noexcept {
-  return total_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(total_);
+  counts_.clear();
+  overflow_.clear();
+  overflow_sorted_ = true;
+  count_ = 0;
 }
 
 void MovingAverage::add(double value) noexcept {
@@ -193,7 +143,7 @@ void MetricsCollector::on_request_completed(bool proxy_hit, int hops, SimTime la
   hops_ma_.add(static_cast<double>(hops));
   latency_ma_.add(static_cast<double>(latency));
   hops_hist_.add(hops);
-  latency_pt_.add(static_cast<double>(latency));
+  latency_pt_.add(latency);
 
   if (sample_every_ != 0 && summary_.completed % sample_every_ == 0) {
     series_.push_back(SeriesPoint{summary_.completed, hit_ma_.value(), hops_ma_.value(),

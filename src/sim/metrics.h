@@ -41,75 +41,41 @@ struct FaultCounters {
   std::string text() const;
 };
 
-/// Histogram over small non-negative integers (hop counts): exact counts
-/// up to `max_value`, an overflow bucket beyond.
-class IntHistogram {
- public:
-  explicit IntHistogram(int max_value = 64) : counts_(static_cast<std::size_t>(max_value) + 2) {}
-
-  void add(int value) noexcept;
-  std::uint64_t total() const noexcept { return total_; }
-  std::uint64_t count_of(int value) const noexcept;
-  std::uint64_t overflow() const noexcept { return counts_.back(); }
-
-  /// Smallest value v with P(X <= v) >= q; -1 on an empty histogram.
-  /// Overflowed samples count as the largest tracked value + 1.
-  int percentile(double q) const noexcept;
-  int max_seen() const noexcept { return max_seen_; }
-  double mean() const noexcept;
-
- private:
-  std::vector<std::uint64_t> counts_;  // [0..max_value] + overflow
-  std::uint64_t total_ = 0;
-  std::uint64_t sum_ = 0;
-  int max_seen_ = -1;
-};
-
-/// Deterministic percentile estimator over double-valued samples (request
-/// latencies).  Samples are stored and each percentile is selected from
-/// them (nearest rank), so the result is independent of accumulation order
-/// — unlike a running double sum, whose rounding depends on the order
-/// values arrive.
-/// The simulator's MetricsCollector and the live runtime's adc_loadgen
-/// share this class so both report percentiles with identical semantics.
+/// Exact histogram of integer samples: request latencies (simulated ticks
+/// or loadgen microseconds), link queue waits and hop counts.  Percentiles
+/// are nearest rank over every sample added, so the result depends only on
+/// the multiset of values, never on the order they arrived in.  The
+/// simulator's MetricsCollector and the live runtime's adc_loadgen share
+/// this class so both report percentiles with identical semantics.
 ///
-/// Memory is bounded: when `max_samples` is reached the stored set is
-/// decimated to every other sample and the sampling stride doubles — a
-/// deterministic (RNG-free) reservoir, so a given input sequence always
-/// produces the same estimate.
+/// Memory does not grow with the number of samples: values in
+/// [0, kDenseLimit) are counted in an array that grows up to the largest
+/// one seen (at most 64 KiB); any other value is kept as-is in an
+/// overflow list, sorted when a query needs it.
 class PercentileTracker {
  public:
-  explicit PercentileTracker(std::size_t max_samples = 1 << 20);
+  static constexpr std::size_t kDenseLimit = 8192;
 
-  void add(double value);
+  void add(std::int64_t value);
 
-  /// Nearest-rank percentile (smallest stored value v with CDF(v) >= q),
-  /// matching IntHistogram::percentile; q clamped to [0, 1].  Returns 0
-  /// when no samples were added.
-  double percentile(double q) const;
+  /// Nearest-rank percentile: the sample of rank ceil(q * count()),
+  /// clamped to [1, count()], with q clamped to [0, 1].  Returns 0 when no
+  /// samples were added.
+  std::int64_t percentile(double q) const;
 
-  /// Total samples offered (including ones the stride skipped).
-  std::uint64_t count() const noexcept { return added_; }
-  std::size_t stored() const noexcept { return samples_.size(); }
-  std::size_t stride() const noexcept { return stride_; }
+  std::uint64_t count() const noexcept { return count_; }
+  /// Largest sample (0 when empty).
+  std::int64_t max_seen() const { return percentile(1.0); }
+  /// Exact mean of the samples (0 when empty).
+  double mean() const;
 
   void clear();
 
  private:
-  std::size_t cap_;
-  std::size_t stride_ = 1;   // record every stride_-th sample once cap_ was hit
-  std::size_t phase_ = 0;    // position within the current stride
-  std::uint64_t added_ = 0;
-  mutable std::vector<double> samples_;
-  /// Leading samples a percentile() selection has permuted since the last
-  /// decimation.  Decimation sorts them first, so it thins the sorted order
-  /// of every sample a query has seen, whatever the selection left behind.
-  mutable std::size_t selected_ = 0;
-  /// Index of the last selected order statistic, or kNoPivot.  While no
-  /// sample was added since, samples_ is partitioned around it, so the
-  /// next query selects only within the side its rank falls in.
-  static constexpr std::size_t kNoPivot = SIZE_MAX;
-  mutable std::size_t pivot_ = kNoPivot;
+  std::vector<std::uint64_t> counts_;  // counts_[v]: samples equal to v
+  mutable std::vector<std::int64_t> overflow_;  // samples outside the dense range
+  mutable bool overflow_sorted_ = true;
+  std::uint64_t count_ = 0;
 };
 
 /// Fixed-window moving average over doubles, kept in a ring of `window`
@@ -288,7 +254,7 @@ class MetricsCollector {
   double moving_hops() const noexcept { return hops_ma_.value(); }
 
   /// Whole-run distribution of per-request hop counts.
-  const IntHistogram& hop_histogram() const noexcept { return hops_hist_; }
+  const PercentileTracker& hop_histogram() const noexcept { return hops_hist_; }
 
   /// Whole-run per-request latency distribution (deterministic; shared
   /// semantics with the live runtime's load generator).
@@ -299,7 +265,7 @@ class MetricsCollector {
   MovingAverage hit_ma_;
   MovingAverage hops_ma_;
   MovingAverage latency_ma_;
-  IntHistogram hops_hist_;
+  PercentileTracker hops_hist_;
   PercentileTracker latency_pt_;
   std::uint64_t sample_every_;
   std::vector<SeriesPoint> series_;

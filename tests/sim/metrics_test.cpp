@@ -109,27 +109,29 @@ TEST(Metrics, MovingHitRateReflectsWindow) {
   EXPECT_DOUBLE_EQ(metrics.moving_hit_rate(), 1.0);  // window fully displaced
 }
 
+// Hop counts: small non-negative integers, as MetricsCollector's hop
+// histogram records them.
 TEST(IntHistogram, EmptyState) {
-  const IntHistogram hist;
-  EXPECT_EQ(hist.total(), 0u);
-  EXPECT_EQ(hist.percentile(0.5), -1);
-  EXPECT_EQ(hist.max_seen(), -1);
+  const PercentileTracker hist;
+  EXPECT_EQ(hist.count(), 0u);
+  EXPECT_EQ(hist.percentile(0.5), 0);
+  EXPECT_EQ(hist.max_seen(), 0);
   EXPECT_EQ(hist.mean(), 0.0);
 }
 
 TEST(IntHistogram, CountsAndMean) {
-  IntHistogram hist;
+  PercentileTracker hist;
   for (int v : {2, 2, 4, 8}) hist.add(v);
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.count_of(2), 2u);
-  EXPECT_EQ(hist.count_of(4), 1u);
-  EXPECT_EQ(hist.count_of(3), 0u);
+  EXPECT_EQ(hist.count(), 4u);
+  EXPECT_EQ(hist.percentile(0.25), 2);
+  EXPECT_EQ(hist.percentile(0.5), 2);
+  EXPECT_EQ(hist.percentile(0.75), 4);
   EXPECT_DOUBLE_EQ(hist.mean(), 4.0);
   EXPECT_EQ(hist.max_seen(), 8);
 }
 
 TEST(IntHistogram, Percentiles) {
-  IntHistogram hist(200);
+  PercentileTracker hist;
   for (int v = 1; v <= 100; ++v) hist.add(v);  // uniform 1..100
   EXPECT_EQ(hist.percentile(0.0), 1);
   EXPECT_EQ(hist.percentile(0.5), 50);
@@ -138,26 +140,20 @@ TEST(IntHistogram, Percentiles) {
 }
 
 TEST(IntHistogram, SingleValue) {
-  IntHistogram hist;
+  PercentileTracker hist;
   hist.add(7);
   EXPECT_EQ(hist.percentile(0.01), 7);
   EXPECT_EQ(hist.percentile(0.99), 7);
 }
 
+// Values past the dense counts are kept exactly.
 TEST(IntHistogram, OverflowBucket) {
-  IntHistogram hist(8);
-  hist.add(100);
-  hist.add(200);
-  EXPECT_EQ(hist.overflow(), 2u);
-  EXPECT_EQ(hist.max_seen(), 200);
-  // Percentile reports the overflow bucket boundary for overflowed mass.
-  EXPECT_EQ(hist.percentile(0.5), 9);
-}
-
-TEST(IntHistogram, NegativeClampsToZero) {
-  IntHistogram hist;
-  hist.add(-5);
-  EXPECT_EQ(hist.count_of(0), 1u);
+  PercentileTracker hist;
+  hist.add(100'000);
+  hist.add(200'000);
+  EXPECT_EQ(hist.max_seen(), 200'000);
+  EXPECT_EQ(hist.percentile(0.5), 100'000);
+  EXPECT_DOUBLE_EQ(hist.mean(), 150'000.0);
 }
 
 TEST(Metrics, HopHistogramTracksRequests) {
@@ -165,8 +161,9 @@ TEST(Metrics, HopHistogramTracksRequests) {
   metrics.on_request_completed(true, 2, 1);
   metrics.on_request_completed(false, 6, 1);
   metrics.on_request_completed(false, 6, 1);
-  EXPECT_EQ(metrics.hop_histogram().total(), 3u);
-  EXPECT_EQ(metrics.hop_histogram().count_of(6), 2u);
+  EXPECT_EQ(metrics.hop_histogram().count(), 3u);
+  EXPECT_EQ(metrics.hop_histogram().percentile(0.0), 2);
+  EXPECT_EQ(metrics.hop_histogram().percentile(0.34), 6);  // rank 2 of 3
   EXPECT_EQ(metrics.hop_histogram().percentile(0.5), 6);
 }
 
@@ -239,105 +236,170 @@ TEST(PercentileTracker, TiedSamplesKeepNearestRankSemantics) {
   EXPECT_EQ(tracker.percentile(1.0), 5.0);
 }
 
-TEST(PercentileTracker, DecimationBoundsMemoryAndStaysDeterministic) {
-  PercentileTracker a(64);
-  PercentileTracker b(64);
-  for (int v = 0; v < 10000; ++v) {
-    a.add(static_cast<double>(v % 977));
-    b.add(static_cast<double>(v % 977));
-  }
-  EXPECT_EQ(a.count(), 10000u);
-  EXPECT_LE(a.stored(), 64u);
-  EXPECT_GT(a.stride(), 1u);
-  // Same input sequence, same estimate — bit-identical.
-  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
-    EXPECT_EQ(a.percentile(q), b.percentile(q)) << q;
-  }
-  // The decimated estimate still tracks the true distribution.
-  EXPECT_NEAR(a.percentile(0.5), 977 / 2.0, 977 * 0.15);
+/// What the tracker must answer: the nearest rank over every sample,
+/// read off a sorted copy.
+std::int64_t sorted_percentile(const std::vector<std::int64_t>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(sorted.size())));
+  rank = std::clamp<std::size_t>(rank, 1, sorted.size());
+  return sorted[rank - 1];
 }
 
-/// The estimator before selection replaced sorting: sort the whole store
-/// on a query, thin the (possibly sorted) store on decimation.
-class SortingTracker {
- public:
-  explicit SortingTracker(std::size_t cap) : cap_(cap) {}
+const std::vector<double> kQuantiles = {0.0, 0.001, 0.25, 0.5, 0.75, 0.9,
+                                        0.95, 0.99, 0.999, 0.9999, 1.0};
 
-  void add(double value) {
-    if (phase_ != 0) {
-      phase_ = (phase_ + 1) % stride_;
-      return;
-    }
-    phase_ = (phase_ + 1) % stride_;
-    if (samples_.size() == cap_) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < samples_.size(); i += 2) samples_[kept++] = samples_[i];
-      samples_.resize(kept);
-      stride_ *= 2;
-      phase_ = 1 % stride_;
-    }
-    samples_.push_back(value);
+constexpr auto kDense = static_cast<std::int64_t>(PercentileTracker::kDenseLimit);
+
+// Past 2^21 samples, where a store of samples capped at 2^20 would have
+// thinned them, every percentile is still the exact nearest rank, and two
+// trackers fed the same sequence agree.
+TEST(PercentileTracker, DecimationBoundsMemoryAndStaysDeterministic) {
+  PercentileTracker a;
+  PercentileTracker b;
+  std::vector<std::int64_t> all;
+  const std::size_t n = (std::size_t{1} << 21) + 4097;
+  all.reserve(n);
+  util::Rng rng(2021);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Mostly tied latencies in the dense range, one in 512 far above it.
+    const auto v = static_cast<std::int64_t>(i % 512 == 0 ? kDense + rng.below(1'000'000)
+                                                          : rng.below(977));
+    a.add(v);
+    b.add(v);
+    all.push_back(v);
   }
-
-  double percentile(double q) {
-    if (samples_.empty()) return 0.0;
-    std::sort(samples_.begin(), samples_.end());
-    auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples_.size())));
-    if (rank == 0) rank = 1;
-    if (rank > samples_.size()) rank = samples_.size();
-    return samples_[rank - 1];
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(a.count(), n);
+  for (const double q : kQuantiles) {
+    EXPECT_EQ(a.percentile(q), sorted_percentile(all, q)) << q;
+    EXPECT_EQ(a.percentile(q), b.percentile(q)) << q;
   }
+  EXPECT_EQ(a.max_seen(), all.back());
+}
 
- private:
-  std::size_t cap_;
-  std::size_t stride_ = 1;
-  std::size_t phase_ = 0;
-  std::vector<double> samples_;
-};
-
-// Selection must answer exactly what a sort answers, for repeated queries,
-// and queries between decimations must not change what decimation keeps.
-// Each query selects only within the side of the previous one its rank
-// falls in, so the sequences walk ranks upward, downward and in place.
+// Repeated queries between adds answer exactly what a sort of every sample
+// answers, in any query order.
 TEST(PercentileTracker, SelectionMatchesSortedReference) {
   const std::vector<std::vector<double>> sequences = {
       {0.0, 0.5, 0.95, 0.99, 0.999, 1.0},
       {1.0, 0.999, 0.99, 0.95, 0.5, 0.0},
       {0.99, 0.99, 0.5, 0.5, 0.999, 0.0, 0.0, 0.95, 1.0, 1.0},
   };
-  for (const std::size_t cap : {std::size_t{64}, std::size_t{1} << 20}) {
+  for (const std::int64_t spread : {std::int64_t{300}, 3 * kDense}) {
     for (std::size_t s = 0; s < sequences.size(); ++s) {
-      PercentileTracker tracker(cap);
-      SortingTracker reference(cap);
-      util::Rng rng(cap + s);
+      PercentileTracker tracker;
+      std::vector<std::int64_t> all;
+      util::Rng rng(static_cast<std::uint64_t>(spread) + s);
       for (int i = 1; i <= 5000; ++i) {
-        // Integral latencies with many ties, as the simulator records them.
-        const auto v = static_cast<double>(rng.below(300));
+        // Integral values with many ties, as the simulator records them;
+        // the wide spread sends two thirds of them to the overflow list.
+        const auto v = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(spread)));
         tracker.add(v);
-        reference.add(v);
+        all.push_back(v);
         if (i % 97 != 0) continue;
+        std::vector<std::int64_t> sorted = all;
+        std::sort(sorted.begin(), sorted.end());
         for (int repeat = 0; repeat < 2; ++repeat) {
           for (const double q : sequences[s]) {
-            ASSERT_EQ(tracker.percentile(q), reference.percentile(q))
-                << "cap " << cap << " sequence " << s << " sample " << i << " q " << q;
+            ASSERT_EQ(tracker.percentile(q), sorted_percentile(sorted, q))
+                << "spread " << spread << " sequence " << s << " sample " << i << " q " << q;
           }
         }
-      }
-      if (cap == 64) {
-        EXPECT_GT(tracker.stride(), 1u) << "the small cap must decimate";
       }
     }
   }
 }
 
+TEST(PercentileTracker, ValuesAtOrAboveTheDenseLimitAreExact) {
+  PercentileTracker tracker;
+  for (const std::int64_t v : {kDense + 5, kDense, std::int64_t{1} << 40, kDense + 5}) {
+    tracker.add(v);
+  }
+  EXPECT_EQ(tracker.percentile(0.0), kDense);
+  EXPECT_EQ(tracker.percentile(0.5), kDense + 5);
+  EXPECT_EQ(tracker.percentile(0.75), kDense + 5);
+  EXPECT_EQ(tracker.percentile(1.0), std::int64_t{1} << 40);
+  EXPECT_EQ(tracker.max_seen(), std::int64_t{1} << 40);
+}
+
+TEST(PercentileTracker, NegativeValuesTakeTheOverflowPath) {
+  PercentileTracker tracker;
+  for (const std::int64_t v : {-3, -1, -3, -100}) tracker.add(v);
+  EXPECT_EQ(tracker.percentile(0.0), -100);
+  EXPECT_EQ(tracker.percentile(0.5), -3);
+  EXPECT_EQ(tracker.percentile(0.75), -3);
+  EXPECT_EQ(tracker.max_seen(), -1);
+  EXPECT_DOUBLE_EQ(tracker.mean(), -107.0 / 4.0);
+}
+
+// Negative, dense and large values in one tracker: ranks run across both
+// boundaries of the dense range.
+TEST(PercentileTracker, MixStraddlingTheDenseBoundariesMatchesSortedReference) {
+  PercentileTracker tracker;
+  std::vector<std::int64_t> all;
+  util::Rng rng(99);
+  for (int i = 0; i < 20000; ++i) {
+    // Half around 0, half around kDense.
+    const auto v = static_cast<std::int64_t>(rng.below(64)) - 32 + (i % 2 == 0 ? 0 : kDense);
+    tracker.add(v);
+    all.push_back(v);
+  }
+  for (const std::int64_t edge : {std::int64_t{-1}, std::int64_t{0}, kDense - 1, kDense}) {
+    tracker.add(edge);
+    all.push_back(edge);
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_LT(all.front(), 0);
+  ASSERT_GE(all.back(), kDense);
+  for (std::size_t rank = 1; rank <= all.size(); rank += 37) {
+    const double q = static_cast<double>(rank) / static_cast<double>(all.size());
+    EXPECT_EQ(tracker.percentile(q), sorted_percentile(all, q)) << rank;
+  }
+  for (const double q : kQuantiles) EXPECT_EQ(tracker.percentile(q), sorted_percentile(all, q));
+  double sum = 0.0;
+  for (const std::int64_t v : all) sum += static_cast<double>(v);
+  EXPECT_DOUBLE_EQ(tracker.mean(), sum / static_cast<double>(all.size()));
+}
+
+// Above the 2^20 samples a capped store once kept, arrival order still
+// cannot move a percentile.
+TEST(PercentileTracker, OrderIndependentAboveTheOldCap) {
+  const std::size_t n = (std::size_t{1} << 20) + 999;
+  PercentileTracker ascending;
+  PercentileTracker descending;
+  PercentileTracker shuffled;
+  const auto value = [](std::size_t i) {
+    // Three values in four in the dense range, the rest above it.
+    return static_cast<std::int64_t>(i % 4 == 3 ? (i * 7) % 50'000 + kDense : (i * 13) % 2000);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    ascending.add(value(i));
+    descending.add(value(n - 1 - i));
+    shuffled.add(value((i * 7919) % n));  // 7919 is prime and n is not its multiple
+  }
+  for (const double q : kQuantiles) {
+    EXPECT_EQ(ascending.percentile(q), descending.percentile(q)) << q;
+    EXPECT_EQ(ascending.percentile(q), shuffled.percentile(q)) << q;
+  }
+  EXPECT_EQ(ascending.mean(), shuffled.mean());
+}
+
 TEST(PercentileTracker, ClearResetsEverything) {
-  PercentileTracker tracker(8);
+  PercentileTracker tracker;
   for (int v = 0; v < 100; ++v) tracker.add(v);
+  tracker.add(-7);
+  tracker.add(kDense * 3);
   tracker.clear();
   EXPECT_EQ(tracker.count(), 0u);
-  EXPECT_EQ(tracker.stored(), 0u);
-  EXPECT_EQ(tracker.stride(), 1u);
-  EXPECT_EQ(tracker.percentile(0.5), 0.0);
+  EXPECT_EQ(tracker.percentile(0.5), 0);
+  EXPECT_EQ(tracker.max_seen(), 0);
+  EXPECT_EQ(tracker.mean(), 0.0);
+  // Reused after a clear, it counts only the new samples.
+  tracker.add(kDense + 1);
+  tracker.add(3);
+  EXPECT_EQ(tracker.count(), 2u);
+  EXPECT_EQ(tracker.percentile(0.0), 3);
+  EXPECT_EQ(tracker.percentile(1.0), kDense + 1);
 }
 
 TEST(Fairness, RatioIsMaxOverMin) {
